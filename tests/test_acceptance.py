@@ -3,6 +3,7 @@
 Run with `pytest -v tests/test_acceptance.py` (or `sqspiral verify all` for
 the same checks through the CLI).
 """
+import hashlib
 import time
 
 import pytest
@@ -11,6 +12,9 @@ from sqspiral import verify
 from sqspiral.constants import C2_PUBLISHED, c2_extrapolate
 from sqspiral.table import build_table
 from sqspiral.svg import RenderSpec, render_svg
+
+#: SHA-256 of the `verify all` report, frozen before the engines were merged.
+VERIFY_ALL_SHA256 = "0dc39200b6aa449249b3e057d47af19fb2ff8cd5a6fa1c1a25765fda2a8651a7"
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +97,8 @@ def test_criterion_11_determinism(suites):
     svg_same = render_svg(table, spec) == render_svg(table, spec)
     print(f"ACCEPTANCE 11 (determinism): {'PASS' if same and svg_same else 'FAIL'}")
     assert same and svg_same
+
+
+def test_golden_verify_all_report(suites):
+    report = verify.render_report([c for name in verify.SUITES for c in suites[name]])
+    assert hashlib.sha256(report.encode()).hexdigest() == VERIFY_ALL_SHA256

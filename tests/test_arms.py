@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as Fr
 
@@ -143,3 +144,46 @@ def test_report_serialization():
     csv = report_csv(report)
     assert csv.splitlines()[0] == "direction,D,a,b_hat,c,start_t,len,members"
     assert any("22 77 154 253" in line for line in csv.splitlines())
+
+
+def _brute_force_arms(table, group, n):
+    """Every maximal run of members with a constant positive second difference
+    whose steps each advance one winding, first member at most n/4, at least
+    five long.  All member triples are tried, with no search structure."""
+    mem = members(group, n)
+    memberset = set(mem)
+
+    def one_winding(a, b):
+        return math.pi < table.angle_of(b) - table.angle_of(a) < 3 * math.pi
+
+    runs = set()
+    for m1, m2, m3 in itertools.combinations(mem, 3):
+        if m1 > n // 4:
+            break
+        d2 = m1 - 2 * m2 + m3
+        if d2 <= 0 or not (one_winding(m1, m2) and one_winding(m2, m3)):
+            continue
+        run = [m1, m2, m3]
+        while True:
+            nxt = 2 * run[-1] - run[-2] + d2
+            if nxt not in memberset or not one_winding(run[-1], nxt):
+                break
+            run.append(nxt)
+        while True:
+            prv = 2 * run[0] - run[1] + d2
+            if not (prv < run[0] and prv in memberset and one_winding(prv, run[0])):
+                break
+            run.insert(0, prv)
+        if len(run) >= 5:
+            runs.add(tuple(run))
+    return runs
+
+
+@pytest.mark.parametrize("spec, count", [("div:2", 3989), ("div:3", 1166),
+                                         ("div:7", 74), ("squares", 7),
+                                         ("primes", 144)])
+def test_enumerate_matches_brute_force(table400, spec, count):
+    group = parse_group(spec)
+    expected = _brute_force_arms(table400, group, 300)
+    assert len(expected) == count
+    assert {a.members for a in enumerate_arms(table400, group, 300)} == expected

@@ -1,0 +1,78 @@
+"""Golden SHA-256 digests of user-visible outputs.
+
+The digests were taken before the arm engines, the angle summation and the
+nearest-ray search were consolidated; refactors must leave these outputs
+byte-identical.  The `verify all` report digest lives in test_acceptance.py,
+next to the fixture that already runs every suite.
+"""
+import hashlib
+
+import pytest
+
+from sqspiral.arms import report_csv, report_json
+from sqspiral.cli import EXIT_OK, main
+from sqspiral.verify import _cached_arm_reports
+
+# group -> (report_json digest, report_csv digest), verify's cached reports
+ARM_REPORTS = {
+    "div:2": ("10f35f3b062d81858bd01d45f7b1da6669a4590832609e994c4bcebc5cf5645e",
+              "b398c029be62d260a0d101f2423a62342854a7254f629a115b9578052d62b017"),
+    "div:3": ("b74f1a578c3724d537616f541f48ea06823e539953bd1eb425aa395bfd110fc5",
+              "13dc32075420d69b985af50cb77db7d2c38e4994bebe33323e87824aaa978b9f"),
+    "div:5": ("d7c7c1ddac1f60e0b4538c504e09eed1ef62c8214e391fb41c520a954965415b",
+              "ff3cd2b27b6fcfeef9634664320c1729a27117283e5a6c1f5fd4bfd75b86f538"),
+    "div:7": ("e073d4730c6e7add0972926dea35981b13b6f3fac279600dc9109071cbb4ca85",
+              "fff66fd6df6f0973ea7ac14687db57e0b6d8ebd15261e35d47ffdc82a6caf6ce"),
+    "div:11": ("c308cf6a42b29b7754b36e973916d1a2364a5e0eec3d1f3d6a6bc237b04748e8",
+               "ffac208919f0d67d8d5bb70607ba885c44e184f0c6ccb6add59a55a16091db0d"),
+    "div:13": ("b2d5d0d85b21464d661de7b27bf463a8c57be075b6f42371f5f3e0ac995d743e",
+               "8763f41c6032ed00d0314af2715fd307b07102b3f484d9a50022008732ba1618"),
+    "div:17": ("86a3229ea3a3311c98a6fc63d31e102bb6db8343e381bb3e7818f919dc24bbef",
+               "76fd3be9b0c6a6452fd9ae41a96e5485341f2407be4ce706e901a2dab6743d0e"),
+    "div:19": ("0ba11d0b07dd4132de89c0d5f6ff34e4fd120baaba2f5b183b1bf7f7c668b54f",
+               "138f521634181f94d6f0cdbcdd93cc27857ed55d285d0fdcfa6465b9f4e1fbd5"),
+    "squares": ("2862414448fa410c5598d8ca4bc1e70a3ec99fd759f71f4f0017087e5d1d1ed5",
+                "52391e845ca05c76fea538ff29cc7c7f850350a5f2f334e4583883a0f6a37df4"),
+}
+
+# argv -> digest of stdout
+CLI_STDOUT = {
+    "primes --report --n 2000":
+        "b440ecf3a741c595e90f50c780c322dd6b1df39995559c5bdced20dd84232a52",
+    "areas --winding-distances 3000":
+        "da67441a8b208cbd4e6f5003a47d65c1c2ce23148ae99f25957c1554ff82f26a",
+    "areas --crossings 6":
+        "12b89b73c3b984c228c523fb94a786bb78f02093b8ad59dd292ea5918e0e008b",
+}
+
+RENDER_SQUARES_300 = "f0cc2db36f4bf352072957cda81391cc96057547aee7f74bec2ea81d8a4c9227"
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+@pytest.fixture
+def fresh_cwd(tmp_path, monkeypatch):
+    """No spiral.conf and no cache: every command builds its own table."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SQSPIRAL_CACHE", raising=False)
+    return tmp_path
+
+
+@pytest.mark.parametrize("spec", list(ARM_REPORTS))
+def test_arm_report_digests(spec):
+    report = _cached_arm_reports()[spec]
+    assert (_sha(report_json(report)), _sha(report_csv(report))) == ARM_REPORTS[spec]
+
+
+@pytest.mark.parametrize("argv", list(CLI_STDOUT))
+def test_cli_stdout_digests(argv, fresh_cwd, capsys):
+    assert main(argv.split()) == EXIT_OK
+    assert _sha(capsys.readouterr().out) == CLI_STDOUT[argv]
+
+
+def test_render_svg_digest(fresh_cwd):
+    argv = ["render", "--n", "300", "--group", "squares", "--arms", "--out", "fig.svg"]
+    assert main(argv) == EXIT_OK
+    assert _sha((fresh_cwd / "fig.svg").read_bytes()) == RENDER_SQUARES_300
