@@ -102,7 +102,8 @@ class Arm:
         return self.poly.b
 
 
-def _window_ok(table: SpiralTable, a: int, b: int) -> bool:
+def in_window(table: SpiralTable, a: int, b: int) -> bool:
+    """True when ray b lies one winding past ray a: advance in (pi, 3*pi)."""
     d = table.angle_of(b) - table.angle_of(a)
     return WINDOW_LO < d < WINDOW_HI
 
@@ -134,19 +135,18 @@ def direction_of(table: SpiralTable, mem) -> str:
     return "P" if med < 0 else "N"
 
 
-def trace_arm(table: SpiralTable, memberset, seed, max_n: int,
-              min_len: int = MIN_ARM_LEN):
+def trace_arm(table: SpiralTable, memberset, seed, max_n: int):
     """Fit a quadratic through the seed triple and extend it both ways.
 
     Returns the maximal Arm, or None when the seed is not quadratic-extendable
-    to `min_len` members (a rejection, not an error).
+    to MIN_ARM_LEN members (a rejection, not an error).
     """
     m1, m2, m3 = seed
     if not (m1 < m2 < m3):
         raise ValueError("seed must be strictly increasing")
     if max_n > table.max_n:
         raise ValueError(f"table covers only {table.max_n} < max_n={max_n}")
-    if not (_window_ok(table, m1, m2) and _window_ok(table, m2, m3)):
+    if not (in_window(table, m1, m2) and in_window(table, m2, m3)):
         return None
     d2 = m1 - 2 * m2 + m3
     if d2 <= 0:
@@ -156,7 +156,7 @@ def trace_arm(table: SpiralTable, memberset, seed, max_n: int,
         nxt = 2 * mem[-1] - mem[-2] + d2
         if nxt <= mem[-1] or nxt > max_n or nxt not in memberset:
             break
-        if not _window_ok(table, mem[-1], nxt):
+        if not in_window(table, mem[-1], nxt):
             break
         mem.append(nxt)
     back = 0
@@ -164,11 +164,11 @@ def trace_arm(table: SpiralTable, memberset, seed, max_n: int,
         prv = 2 * mem[0] - mem[1] + d2
         if prv < 1 or prv >= mem[0] or prv not in memberset:
             break
-        if not _window_ok(table, prv, mem[0]):
+        if not in_window(table, prv, mem[0]):
             break
         mem.insert(0, prv)
         back += 1
-    if len(mem) < min_len:
+    if len(mem) < MIN_ARM_LEN:
         return None
     fitted = newton_quadratic(m1, m2, m3)   # members[back] = fitted(1)
     canon, shift = fitted.canonicalize()
@@ -179,23 +179,11 @@ def trace_arm(table: SpiralTable, memberset, seed, max_n: int,
                direction=direction_of(table, mem))
 
 
-def enumerate_arms(table: SpiralTable, group: NumberGroup, max_n: int,
-                   seed_bound: int | None = None,
-                   min_len: int = MIN_ARM_LEN) -> list[Arm]:
-    """All distinct arms reachable from window-consistent seed triples.
-
-    Seeds run over member triples with m1 <= seed_bound (default max_n/4);
-    arms deduplicate on their canonical polynomial, and the output order is
-    by canonical (a, b, c), then start_t -- independent of search order.
+def window_seeds(table: SpiralTable, mem, seed_bound: int):
+    """Seed triples (m1, m2, m3) of the sorted members `mem`: convex
+    (m1 - 2*m2 + m3 > 0), each step inside the winding window, m1 <= seed_bound.
     """
-    mem = members(group, max_n)
-    if not mem:
-        return []
-    if seed_bound is None:
-        seed_bound = max_n // 4
-    memberset = set(mem)
     angles = np.array([table.angle_of(m) for m in mem])
-    found: dict[tuple, Arm] = {}
 
     def window_slice(i: int) -> range:
         lo = int(np.searchsorted(angles, angles[i] + WINDOW_LO, side="right"))
@@ -204,19 +192,35 @@ def enumerate_arms(table: SpiralTable, group: NumberGroup, max_n: int,
 
     for i, m1 in enumerate(mem):
         if m1 > seed_bound:
-            break
+            return
         for j in window_slice(i):
             m2 = mem[j]
             for k in window_slice(j):
                 m3 = mem[k]
-                if m1 - 2 * m2 + m3 <= 0:
-                    continue
-                arm = trace_arm(table, memberset, (m1, m2, m3), max_n, min_len)
-                if arm is None:
-                    continue
-                key = (arm.poly.a, arm.poly.b, arm.poly.c)
-                if key not in found:
-                    found[key] = arm
+                if m1 - 2 * m2 + m3 > 0:
+                    yield m1, m2, m3
+
+
+def enumerate_arms(table: SpiralTable, group: NumberGroup, max_n: int,
+                   seed_bound: int | None = None) -> list[Arm]:
+    """All distinct arms reachable from window-consistent seed triples.
+
+    Seeds run over member triples with m1 <= seed_bound (default max_n/4);
+    arms deduplicate on their canonical polynomial, and the output order is
+    by canonical (a, b, c), then start_t -- independent of search order.
+    """
+    mem = members(group, max_n)
+    if seed_bound is None:
+        seed_bound = max_n // 4
+    memberset = set(mem)
+    found: dict[tuple, Arm] = {}
+    for seed in window_seeds(table, mem, seed_bound):
+        arm = trace_arm(table, memberset, seed, max_n)
+        if arm is None:
+            continue
+        key = (arm.poly.a, arm.poly.b, arm.poly.c)
+        if key not in found:
+            found[key] = arm
     return sorted(found.values(),
                   key=lambda a: (a.poly.a, a.poly.b, a.poly.c, a.start_t))
 

@@ -15,8 +15,8 @@ from . import verify as verify_mod
 from .config import Config, load_config
 from .constants import c2_estimate
 from .series import (axis_crossings, fib_angle_series, fib_area_ratio_series,
-                     same_arm_angle_series, square_angle_series,
-                     square_band_ratio_series)
+                     fibonacci_numbers, same_arm_angle_series,
+                     square_angle_series, square_band_ratio_series)
 from .svg import GroupStyle, RenderSpec, parse_style, render_svg
 from .table import build_table, load_table, save_table
 
@@ -142,9 +142,14 @@ def cmd_arms(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def _emit_series(series, args, cfg: Config) -> None:
+def _emit_series(series, args, cfg: Config, companions=()) -> None:
+    """CSV of `series` or, in json format, its summary and its companions'."""
     fmt = args.format or cfg.output
-    _emit(series.summary_json() if fmt == "json" else series.to_csv())
+    if fmt == "json":
+        for s in (series, *companions):
+            _emit(s.summary_json())
+    else:
+        _emit(series.to_csv())
     if args.figure:
         from .svg import render_report_figure
         with open(args.figure, "w", encoding="utf-8") as fh:
@@ -185,22 +190,11 @@ def cmd_areas(args, cfg: Config) -> int:
 
 
 def cmd_fib(args, cfg: Config) -> int:
-    fmt = args.format or cfg.output
     if args.angles:
-        from .series import fibonacci_numbers
         top = fibonacci_numbers(args.count + 1)[-1]
-        table = _table_for(cfg, top)
-        fib = fib_angle_series(table, args.count)
-        if fmt == "json":
-            _emit(fib.alphas_deg.summary_json())
-            _emit(fib.step_ratios.summary_json())
-            _emit(fib.cumulative_ratios.summary_json())
-        else:
-            _emit(fib.alphas_deg.to_csv())
-        if args.figure:
-            from .svg import render_report_figure
-            with open(args.figure, "w", encoding="utf-8") as fh:
-                fh.write(render_report_figure(fib.alphas_deg))
+        fib = fib_angle_series(_table_for(cfg, top), args.count)
+        _emit_series(fib.alphas_deg, args, cfg,
+                     companions=(fib.step_ratios, fib.cumulative_ratios))
     else:
         _emit_series(fib_area_ratio_series(args.count), args, cfg)
     return EXIT_OK

@@ -66,20 +66,13 @@ class WindingRow:
 def nearest_one_turn(table: SpiralTable, n: int):
     """Ray m minimizing |(angle_of(m) - angle_of(n)) - 2*pi|, or None near table end."""
     target = table.angle_of(n) + TAU
-    limit = table.max_n + 1
     # No m within 2*pi + pi/2 of the probe: skip (probe too close to table end).
-    if target > float(table.cum_angle[limit - 1]) + 0.5 * math.pi:
+    if target > float(table.cum_angle[-1]) + 0.5 * math.pi:
         return None
-    j = int(np.searchsorted(table.cum_angle[:limit], target))
-    best_m, best_gap = None, None
-    for m in (j, j + 1):
-        if n < m <= limit:
-            gap = (table.angle_of(m) - table.angle_of(n)) - TAU
-            if best_gap is None or abs(gap) < abs(best_gap):
-                best_m, best_gap = m, gap
-    if best_m is None or target > table.angle_of(min(best_m, limit)) + 0.5 * math.pi:
+    m = table.nearest_ray(target, lo=n + 1)
+    if m is None or target > table.angle_of(m) + 0.5 * math.pi:
         return None
-    return best_m, best_gap
+    return m, (table.angle_of(m) - table.angle_of(n)) - TAU
 
 
 def winding_distance_table(table: SpiralTable, probes=None,

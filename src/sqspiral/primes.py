@@ -14,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .table import SpiralTable
-from .ratpoly import QuadraticPoly
+from .ratpoly import QuadraticPoly, newton_quadratic
+from .arms import MIN_ARM_LEN, in_window, window_seeds
 
 SIEVE_CAPACITY = 1 << 28
 
@@ -131,23 +132,15 @@ class PrimeArm:
 def _trace_dense(table: SpiralTable, is_prime, seed, max_n, threshold):
     """Trace a quadratic through a prime seed, tolerating composite values as
     long as the running prime density stays at or above the threshold."""
-    from .arms import WINDOW_LO, WINDOW_HI
     m1, m2, m3 = seed
     d2 = m1 - 2 * m2 + m3
-    if d2 <= 0:
-        return None
-
-    def window_ok(u, v):
-        d = table.angle_of(v) - table.angle_of(u)
-        return WINDOW_LO < d < WINDOW_HI
-
-    if not (window_ok(m1, m2) and window_ok(m2, m3)):
+    if not (in_window(table, m1, m2) and in_window(table, m2, m3)):
         return None
     mem = [m1, m2, m3]
     hits = [True, True, True]
     while True:
         nxt = 2 * mem[-1] - mem[-2] + d2
-        if nxt <= mem[-1] or nxt > max_n or not window_ok(mem[-1], nxt):
+        if nxt <= mem[-1] or nxt > max_n or not in_window(table, mem[-1], nxt):
             break
         prime = is_prime(nxt)
         if (sum(hits) + prime) / (len(mem) + 1) < threshold:
@@ -157,7 +150,7 @@ def _trace_dense(table: SpiralTable, is_prime, seed, max_n, threshold):
     while hits and not hits[-1]:  # an arm ends on a prime
         hits.pop()
         mem.pop()
-    if len(mem) < 5:
+    if len(mem) < MIN_ARM_LEN:
         return None
     count = sum(hits)
     if count / len(mem) < threshold:
@@ -166,52 +159,31 @@ def _trace_dense(table: SpiralTable, is_prime, seed, max_n, threshold):
 
 
 def prime_arm_report(table: SpiralTable, max_n: int,
-                     density_threshold: float = 0.6,
-                     second_differential: int | None = 18,
-                     seed_bound: int | None = None) -> list[PrimeArm]:
+                     density_threshold: float = 0.6) -> list[PrimeArm]:
     """Prime-rich arms found by density-relaxed tracing.
 
-    Seeds are window-consistent prime triples; arms keep composite members
-    only while their overall prime density stays >= the threshold.  With the
-    default filter only arms of second differential 18 are reported, ranked
-    by density then canonical polynomial.
+    Seeds are window-consistent prime triples with m1 <= max_n/4 and second
+    differential 18; arms keep composite members only while their overall
+    prime density stays >= the threshold.  Arms are ranked by density, then
+    canonical polynomial.
     """
-    from .ratpoly import newton_quadratic
     pt = sieve(max_n)
     ps = [int(i) for i in np.flatnonzero(pt.bitmap)]
-    angles = np.array([table.angle_of(p) for p in ps])
-    if seed_bound is None:
-        seed_bound = max_n // 4
-    from .arms import WINDOW_LO, WINDOW_HI
     found = {}
-    for i, m1 in enumerate(ps):
-        if m1 > seed_bound:
-            break
-        lo1 = int(np.searchsorted(angles, angles[i] + WINDOW_LO, side="right"))
-        hi1 = int(np.searchsorted(angles, angles[i] + WINDOW_HI, side="left"))
-        for j in range(lo1, hi1):
-            m2 = ps[j]
-            lo2 = int(np.searchsorted(angles, angles[j] + WINDOW_LO, side="right"))
-            hi2 = int(np.searchsorted(angles, angles[j] + WINDOW_HI, side="left"))
-            for k in range(lo2, hi2):
-                m3 = ps[k]
-                d2 = m1 - 2 * m2 + m3
-                if d2 <= 0:
-                    continue
-                if second_differential is not None and d2 != second_differential:
-                    continue
-                res = _trace_dense(table, pt.is_prime, (m1, m2, m3), max_n,
-                                   density_threshold)
-                if res is None:
-                    continue
-                mem, count = res
-                canon, _ = newton_quadratic(m1, m2, m3).canonicalize()
-                key = (canon.a, canon.b, canon.c)
-                if key not in found or len(mem) > len(found[key].members):
-                    found[key] = PrimeArm(
-                        members=mem, poly=canon, prime_count=count,
-                        density=count / len(mem),
-                        coprime6=coprime6_check(canon))
+    for seed in window_seeds(table, ps, max_n // 4):
+        if seed[0] - 2 * seed[1] + seed[2] != 18:
+            continue
+        res = _trace_dense(table, pt.is_prime, seed, max_n, density_threshold)
+        if res is None:
+            continue
+        mem, count = res
+        canon, _ = newton_quadratic(*seed).canonicalize()
+        key = (canon.a, canon.b, canon.c)
+        if key not in found or len(mem) > len(found[key].members):
+            found[key] = PrimeArm(
+                members=mem, poly=canon, prime_count=count,
+                density=count / len(mem),
+                coprime6=coprime6_check(canon))
     return sorted(found.values(),
                   key=lambda r: (-r.density, r.poly.a, r.poly.b, r.poly.c))
 

@@ -80,9 +80,6 @@ class QuadraticPoly:
         t = _rat(t)
         return self.a * t * t + self.b * t + self.c
 
-    def eval(self, t) -> Fraction:
-        return self(t)
-
     def is_integer_valued(self) -> bool:
         """True iff every value at integer t is an integer (2a, a+b, c integers)."""
         return ((2 * self.a).denominator == 1

@@ -230,17 +230,8 @@ def axis_crossings(table: SpiralTable, winding_max: int) -> CrossingsReport:
     need = (winding_max - 1) * TAU + math.pi
     if float(table.cum_angle[-1]) < need:
         raise IndexError(f"table of {table.max_n} does not cover {winding_max} windings")
-    crossings = [2]
-    for w in range(2, winding_max + 1):
-        axis = (w - 1) * TAU
-        j = int(np.searchsorted(table.cum_angle, axis))
-        best, best_gap = None, None
-        for m in (j, j + 1):
-            if 1 <= m <= table.max_n + 1:
-                gap = abs(table.angle_of(m) - axis)
-                if best_gap is None or gap < best_gap:
-                    best, best_gap = m, gap
-        crossings.append(best)
+    crossings = [2] + [table.nearest_ray((w - 1) * TAU)
+                       for w in range(2, winding_max + 1)]
     poly = newton_quadratic(*crossings[:3])
     diffs = tuple(crossings[i + 2] - 2 * crossings[i + 1] + crossings[i]
                   for i in range(len(crossings) - 2))

@@ -46,7 +46,6 @@ def parse_style(text: str) -> dict:
 class GroupStyle:
     group: _arms.NumberGroup
     color: str = "#d9a516"
-    draw_rays: bool = False
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class RenderSpec:
     groups: tuple = ()
     arm_overlays: tuple = ()          # Arm objects
     arm_colors: tuple = ("#2d7d46", "#b03a2e", "#2e6db0", "#8e44ad")
-    labels: bool = False
     size: int = 800
     scale: float = 20.0
     mirror: bool = False
@@ -98,22 +96,11 @@ def render_svg(table: SpiralTable, spec: RenderSpec) -> str:
         f'<polyline points="{boundary}" fill="none" '
         f'stroke="{style["boundary.color"]}" stroke-width="{style["boundary.width"]}"/>')
     for gs in spec.groups:
-        mem = _arms.members(gs.group, spec.max_n)
-        if gs.draw_rays:
-            for n in mem:
-                x, y = _point(table, n, spec)
-                parts.append(
-                    f'<line x1="0.000000" y1="0.000000" x2="{_fmt(x)}" y2="{_fmt(y)}" '
-                    f'stroke="{style["ray.color"]}" stroke-width="{style["ray.width"]}"/>')
-        for n in mem:
+        for n in _arms.members(gs.group, spec.max_n):
             x, y = _point(table, n, spec)
             parts.append(
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{style["marker.radius"]}" '
                 f'fill="{gs.color}"/>')
-            if spec.labels:
-                parts.append(
-                    f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{style["text.size"]}" '
-                    f'fill="#202020">{n}</text>')
     for idx, arm in enumerate(spec.arm_overlays):
         color = spec.arm_colors[idx % len(spec.arm_colors)]
         pts = " ".join(

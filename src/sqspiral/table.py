@@ -88,6 +88,13 @@ class SpiralTable:
         """Winding index, starting at 1 for total angles in [0, 2pi)."""
         return 1 + int(self.angle_of(n) // TAU)
 
+    def nearest_ray(self, angle: float, lo: int = 1):
+        """Ray m >= lo whose total angle is nearest `angle` (the first of a
+        tie), searched among the two rays bracketing it; None if neither fits."""
+        j = int(np.searchsorted(self.cum_angle, angle))
+        return min((m for m in (j, j + 1) if lo <= m <= self.max_n + 1),
+                   key=lambda m: abs(self.angle_of(m) - angle), default=None)
+
     def ray(self, n: int) -> RayCoord:
         total = self.angle_of(n)
         mod = total % TAU
@@ -103,9 +110,25 @@ class SpiralTable:
         )
 
 
-def _block(lo: int, hi: int) -> np.ndarray:
-    k = np.arange(lo, hi, dtype=np.float64)
-    return np.arctan(1.0 / np.sqrt(k))
+def _blocks(top: int, compensated: bool):
+    """Yield (lo, hi, base, prefix) per CHUNK-sized block of triangles 1..top,
+    with w(k) = base + prefix[k - lo]; the carried base is Neumaier-compensated
+    when `compensated`, a bare running sum otherwise."""
+    carry = 0.0
+    comp = 0.0
+    for lo in range(1, top + 1, CHUNK):
+        hi = min(lo + CHUNK, top + 1)
+        k = np.arange(lo, hi, dtype=np.float64)
+        prefix = np.cumsum(np.arctan(1.0 / np.sqrt(k)))
+        yield lo, hi, carry + comp, prefix
+        total = float(prefix[-1])
+        s = carry + total
+        if compensated:
+            if abs(carry) >= abs(total):
+                comp += (carry - s) + total
+            else:
+                comp += (total - s) + carry
+        carry = s
 
 
 def build_table(max_n: int, mode: str = "compensated",
@@ -128,23 +151,8 @@ def build_table(max_n: int, mode: str = "compensated",
             f"{capacity}; raise `capacity` explicitly if intended")
     cum = np.empty(max_n + 1, dtype=np.float64)
     cum[0] = 0.0
-    carry = 0.0
-    comp = 0.0
-    for lo in range(1, max_n + 1, CHUNK):
-        hi = min(lo + CHUNK, max_n + 1)
-        prefix = np.cumsum(_block(lo, hi))
-        base = carry + comp if mode == "compensated" else carry
+    for lo, hi, base, prefix in _blocks(max_n, mode == "compensated"):
         cum[lo:hi] = base + prefix
-        total = float(prefix[-1])
-        if mode == "compensated":
-            s = carry + total
-            if abs(carry) >= abs(total):
-                comp += (carry - s) + total
-            else:
-                comp += (total - s) + carry
-            carry = s
-        else:
-            carry = carry + total
     cum.flags.writeable = False  # tables are shared read-only
     return SpiralTable(max_n=max_n, cum_angle=cum, built_with=mode)
 
@@ -167,24 +175,11 @@ def stream_cum_angles(ks) -> dict[int, float]:
         ks = ks[1:]
     if not ks:
         return out
-    carry = 0.0
-    comp = 0.0
     pos = 0
-    top = ks[-1]
-    for lo in range(1, top + 1, CHUNK):
-        hi = min(lo + CHUNK, top + 1)
-        prefix = np.cumsum(_block(lo, hi))
-        base = carry + comp
+    for lo, hi, base, prefix in _blocks(ks[-1], compensated=True):
         while pos < len(ks) and ks[pos] < hi:
             out[ks[pos]] = base + float(prefix[ks[pos] - lo])
             pos += 1
-        total = float(prefix[-1])
-        s = carry + total
-        if abs(carry) >= abs(total):
-            comp += (carry - s) + total
-        else:
-            comp += (total - s) + carry
-        carry = s
     return out
 
 

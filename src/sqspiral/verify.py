@@ -19,7 +19,8 @@ from .table import TAU, SpiralTable, build_table, wrap_signed
 from .constants import (archimedean_radius, c2_estimate, c2_extrapolate,
                         winding_averages, winding_distance_table)
 from .ratpoly import QuadraticPoly, newton_quadratic
-from .arms import b_hat_lattice_ok, classify_systems, enumerate_arms, parse_group
+from .arms import (b_hat_lattice_ok, classify_systems, enumerate_arms, in_window,
+                   parse_group)
 from .series import (DEG, GOLDEN, axis_crossings, fib_angle_series,
                      fib_angle_series_streaming, fib_area_ratio_series,
                      same_arm_angle_series, square_angle_series,
@@ -212,8 +213,7 @@ def _window_filtered(table: SpiralTable, seq) -> list[int]:
     """Members of a published sequence reachable by winding-window tracing."""
     keep = [seq[0]]
     for a, b in zip(seq, seq[1:]):
-        d = table.angle_of(b) - table.angle_of(a)
-        if math.pi < d < 3 * math.pi:
+        if in_window(table, a, b):
             keep.append(b)
         else:
             keep = [b]
