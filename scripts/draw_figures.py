@@ -10,13 +10,13 @@ import pathlib
 from sqspiral.arms import enumerate_arms, parse_group
 from sqspiral.series import square_angle_series, square_band_ratio_series
 from sqspiral.svg import GroupStyle, RenderSpec, render_report_figure, render_svg
-from sqspiral.verify import _table
+from sqspiral.table import table_for
 
 
 def main() -> None:
     out = pathlib.Path(__file__).parent / "out"
     out.mkdir(exist_ok=True)
-    table = _table(600)
+    table = table_for(600)
 
     (out / "spiral_bare.svg").write_text(
         render_svg(table, RenderSpec(max_n=300)))

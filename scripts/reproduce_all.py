@@ -16,6 +16,7 @@ from sqspiral.arms import classify_systems, enumerate_arms, parse_group, report_
 from sqspiral.constants import constants_report
 from sqspiral.published import TABLE1_ROWS
 from sqspiral.series import square_band_ratio_series
+from sqspiral.table import table_for
 
 
 def main() -> int:
@@ -27,13 +28,13 @@ def main() -> int:
     failed = [c for c in checks if not c.ok]
     print(f"verify all: {len(checks) - len(failed)}/{len(checks)} checks passed")
 
-    table = verify._table(400)
+    table = table_for(400)
     report = constants_report(table, [3, 15, 80, 400],
                               probes=[n for n, _, _ in TABLE1_ROWS])
     (out / "table1.csv").write_text(report.winding_table_csv())
 
     group = parse_group("div:7")
-    arms = enumerate_arms(verify._table(600), group, 600)
+    arms = enumerate_arms(table_for(600), group, 600)
     (out / "arms_div7.json").write_text(
         report_json(classify_systems(arms, group, 600)))
 

@@ -9,7 +9,7 @@ __version__ = "0.1.0"
 
 from .table import (SpiralTable, RayCoord, CapacityError, build_table,
                     load_table, save_table, segment_angle, stream_cum_angles,
-                    wrap_signed)
+                    table_for, wrap_signed)
 from .constants import (C2_PUBLISHED, ConstantsReport, WindingRow,
                         archimedean_radius, c2_estimate, c2_extrapolate,
                         constants_report, winding_averages,

@@ -13,6 +13,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -157,6 +158,12 @@ def build_table(max_n: int, mode: str = "compensated",
     return SpiralTable(max_n=max_n, cum_angle=cum, built_with=mode)
 
 
+@lru_cache(maxsize=12)
+def table_for(max_n: int, mode: str = "compensated") -> SpiralTable:
+    """Shared read-only table for (max_n, mode), built once per process."""
+    return build_table(max_n, mode=mode)
+
+
 def stream_cum_angles(ks) -> dict[int, float]:
     """Cumulative angles w(k) at selected indices without storing a table.
 
@@ -201,6 +208,9 @@ def save_table(table: SpiralTable, path: str) -> None:
 
 
 def load_table(path: str) -> SpiralTable:
+    """Read a cached table, rejecting it (ValueError) unless the header
+    matches the file size and the angles start 0, pi/4 and strictly increase
+    to a finite end."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CACHE_MAGIC:
@@ -209,9 +219,12 @@ def load_table(path: str) -> SpiralTable:
         if version != bytes([CACHE_VERSION]):
             raise ValueError(f"{path}: unsupported cache version {version!r}")
         (max_n,) = struct.unpack("<Q", fh.read(8))
-        data = np.frombuffer(fh.read((max_n + 1) * 8), dtype="<f8")
-        if data.size != max_n + 1:
-            raise ValueError(f"{path}: truncated cache")
-    cum = data.astype(np.float64)
-    cum.flags.writeable = False
+        size = os.fstat(fh.fileno()).st_size
+        if max_n < 1 or size != 13 + 8 * (max_n + 1):
+            raise ValueError(f"{path}: header max_n={max_n} does not match "
+                             f"the file size of {size} bytes")
+        cum = np.frombuffer(fh.read(), dtype="<f8")
+    if not (cum[0] == 0.0 and cum[1] == math.pi / 4
+            and (cum[1:] > cum[:-1]).all() and math.isfinite(cum[-1])):
+        raise ValueError(f"{path}: cached angles are not a valid table")
     return SpiralTable(max_n=int(max_n), cum_angle=cum, built_with="compensated")

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import published as pub
-from .table import TAU, SpiralTable, build_table, wrap_signed
+from .table import TAU, SpiralTable, table_for, wrap_signed
 from .constants import (archimedean_radius, c2_estimate, c2_extrapolate,
                         winding_averages, winding_distance_table)
 from .ratpoly import QuadraticPoly, newton_quadratic
@@ -61,15 +61,10 @@ def _flag(name, ok, measured, expected, note="") -> Check:
     return Check(name, ok, str(measured), str(expected), "", note)
 
 
-@lru_cache(maxsize=12)
-def _table(max_n: int, mode: str = "compensated") -> SpiralTable:
-    return build_table(max_n, mode=mode)
-
-
 # --------------------------------------------------------------------------
 def suite_constants() -> list[Check]:
     t0 = time.perf_counter()
-    table = _table(10**7)
+    table = table_for(10**7)
     ks = [10**4, 10**5, 10**6, 10**7]
     c2 = c2_extrapolate(table, ks)
     elapsed = time.perf_counter() - t0
@@ -99,11 +94,11 @@ def suite_constants() -> list[Check]:
     closed = 2.0 / (math.sqrt(1.0 + 1.0 / n) + 1.0)
     out.append(_chk("constants.delta_r_normalized_at_1e12", closed, 1.0, 1e-6,
                     "(sqrt(n+1)-sqrt(n)) * 2*sqrt(n), closed form"))
-    plain = _table(10**7, "plain")
+    plain = table_for(10**7, "plain")
     out.append(_chk("constants.summation_mode_gap_1e7",
                     abs(table.w(10**7) - plain.w(10**7)), 0.0, 1e-10,
                     "compensated vs plain carry"))
-    rows = winding_distance_table(_table(30000), probes=range(1, 26000))
+    rows = winding_distance_table(table_for(30000), probes=range(1, 26000))
     avgs = winding_averages(rows)
     per = [abs(avgs[w] - math.pi) for w in range(10, 51)]
     pooled = [r.distance for r in rows if 10 <= r.winding <= 50]
@@ -116,7 +111,7 @@ def suite_constants() -> list[Check]:
 
 # --------------------------------------------------------------------------
 def suite_table1() -> list[Check]:
-    table = _table(400)
+    table = table_for(400)
     out = []
     rows = winding_distance_table(table, probes=[n for n, _, _ in pub.TABLE1_ROWS])
     derived = {r.n: r for r in rows}
@@ -157,7 +152,7 @@ def suite_fig7() -> list[Check]:
 
 # --------------------------------------------------------------------------
 def suite_fig15() -> list[Check]:
-    table = _table(1010000)
+    table = table_for(1010000)
     series = same_arm_angle_series(table, 300)
     out = []
     for r, printed in sorted(pub.FIG15_DIFFS.items()):
@@ -198,7 +193,7 @@ def _arm_reports():
                  "div:17", "div:19", "squares"):
         group = parse_group(spec)
         max_n = ARMS_MAX_N_17 if spec == "div:17" else ARMS_MAX_N
-        table = _table(max_n)
+        table = table_for(max_n)
         arms = enumerate_arms(table, group, max_n)
         reports[spec] = classify_systems(arms, group, max_n)
     return reports
@@ -225,7 +220,7 @@ def suite_table2() -> list[Check]:
     out = []
     for spec, systems in pub.TABLE2.items():
         report = reports[spec]
-        table = _table(report.max_n)
+        table = table_for(report.max_n)
         by_poly = {(a.poly.a, a.poly.b, a.poly.c): a for a in report.arms}
         for name, seq in systems.items():
             canon, _ = newton_quadratic(*seq[:3]).canonicalize()
@@ -341,7 +336,7 @@ def suite_rule52() -> list[Check]:
 
 # --------------------------------------------------------------------------
 def suite_fib() -> list[Check]:
-    table = _table(400)
+    table = table_for(400)
     fib = fib_angle_series(table, 11)
     out = []
     for k, printed in enumerate(pub.FIB_ALPHAS_DEG, 1):
@@ -370,7 +365,7 @@ def suite_fib() -> list[Check]:
 
 # --------------------------------------------------------------------------
 def suite_fig16() -> list[Check]:
-    table = _table(400)
+    table = table_for(400)
     report = axis_crossings(table, 6)
     expected = (2, 18, pub.FIG16_COMPUTED_W3, 110, 186, 282)
     out = [_flag("fig16.crossings", report.crossings == expected,
@@ -449,7 +444,7 @@ def suite_primes() -> list[Check]:
         out.append(_flag(f"primes.scan_D{dd}_top10_has_coprime6",
                          len(top_like) > 0, len(top_like), "> 0",
                          "prime-rich rows avoid divisibility by 2 and 3"))
-    table = _table(2000)
+    table = table_for(2000)
     arms = pr.prime_arm_report(table, 2000)
     out.append(_flag("primes.arm_report_all_D18",
                      bool(arms) and all(a.second_differential == 18 for a in arms),

@@ -1,18 +1,18 @@
 import pytest
 
-from sqspiral.verify import _table
+from sqspiral.table import table_for
 
 
 @pytest.fixture(scope="session")
 def table400():
-    return _table(400)
+    return table_for(400)
 
 
 @pytest.fixture(scope="session")
 def table2000():
-    return _table(2000)
+    return table_for(2000)
 
 
 @pytest.fixture(scope="session")
 def table100k():
-    return _table(100000)
+    return table_for(100000)

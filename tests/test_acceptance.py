@@ -10,7 +10,7 @@ import pytest
 
 from sqspiral import verify
 from sqspiral.constants import C2_PUBLISHED, c2_extrapolate
-from sqspiral.table import build_table
+from sqspiral.table import build_table, table_for
 from sqspiral.svg import RenderSpec, render_svg
 
 #: SHA-256 of the `verify all` report, frozen before the engines were merged.
@@ -88,11 +88,11 @@ def test_criterion_10_prime_polynomials(suites):
 
 def test_criterion_11_determinism(suites):
     first = verify.render_report(verify.run_suite("all"))
-    verify._table.cache_clear()
+    table_for.cache_clear()
     verify._cached_arm_reports.cache_clear()
     second = verify.render_report(verify.run_suite("all"))
     same = first == second
-    table = verify._table(400)
+    table = table_for(400)
     spec = RenderSpec(max_n=300)
     svg_same = render_svg(table, spec) == render_svg(table, spec)
     print(f"ACCEPTANCE 11 (determinism): {'PASS' if same and svg_same else 'FAIL'}")

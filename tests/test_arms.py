@@ -8,8 +8,8 @@ from sqspiral.arms import (NumberGroup, b_hat_lattice_ok, direction_of,
                            enumerate_arms, members, parse_group, trace_arm,
                            verify_rule_5_2, report_csv, report_json)
 from sqspiral.ratpoly import QuadraticPoly, second_differential
-from sqspiral.table import wrap_signed
-from sqspiral.verify import _table, _cached_arm_reports
+from sqspiral.table import table_for, wrap_signed
+from sqspiral.verify import _cached_arm_reports
 
 
 def test_parse_group():
@@ -71,7 +71,7 @@ def test_direction_examples(table2000):
 
 
 def test_drift_convergence_long_arm():
-    table = _table(100000)
+    table = table_for(100000)
     group = parse_group("squares")
     arm = trace_arm(table, set(members(group, 100000)), (1, 16, 49), 100000)
     limit = wrap_signed(2 * math.sqrt(float(arm.poly.a)))

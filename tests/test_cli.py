@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from sqspiral.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
@@ -129,3 +130,47 @@ def test_config_file_and_env_cache(tmp_path, capsys, monkeypatch):
                        "--format", "json")
     assert code == EXIT_OK
     assert any(a["members"][0] == 1 for a in json.loads(out)["arms"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["arms", "--group", "div:7", "--n", "0"],
+    ["arms", "--group", "div:7", "--n", "-3"],
+    ["arms", "--group", "div:7", "--n", "ten"],
+    ["arms", "--group", "div:7", "--seed-bound", "0"],
+    ["build", "--n", "0"],
+    ["primes", "--report", "--n", "0"],
+    ["primes", "--scan-d", "18", "--t", "-1"],
+    ["fib", "--angles", "--count", "0"],
+    ["render", "--n", "0", "--out", "x.svg"],
+])
+def test_non_positive_sizes_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert "usage error" in err and "positive integer" in err
+
+
+def _corrupt_nan(data: bytes) -> bytes:
+    angles = np.frombuffer(data[13:], dtype="<f8").copy()
+    angles[5:] = np.nan
+    return data[:13] + angles.tobytes()
+
+
+def _corrupt_header(data: bytes) -> bytes:
+    return data[:5] + b"\xff" * 8 + data[13:]
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_nan, _corrupt_header],
+                         ids=["nan_angles", "max_n_2_64_minus_1"])
+def test_bad_cache_is_ignored(tmp_path, capsys, monkeypatch, corrupt):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SQSPIRAL_CACHE", raising=False)
+    argv = ("arms", "--group", "div:7", "--n", "600", "--format", "json")
+    code, clean, _ = run(capsys, *argv)
+    assert code == EXIT_OK and json.loads(clean)["arms"]
+    cache = tmp_path / "bad.bin"
+    run(capsys, "build", "--n", "1000", "--cache", str(cache))
+    cache.write_bytes(corrupt(cache.read_bytes()))
+    monkeypatch.setenv("SQSPIRAL_CACHE", str(cache))
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_OK, clean, "")

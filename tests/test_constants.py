@@ -7,7 +7,7 @@ from sqspiral.constants import (C2_PUBLISHED, archimedean_radius, c2_estimate,
                                 c2_extrapolate, winding_averages,
                                 winding_distance_table)
 from sqspiral.table import SpiralTable
-from sqspiral.verify import _table
+from sqspiral.table import table_for
 
 
 def test_c2_at_1(table400):
@@ -15,18 +15,18 @@ def test_c2_at_1(table400):
 
 
 def test_c2_at_1e6_near_limit():
-    table = _table(10**6)
+    table = table_for(10**6)
     assert c2_estimate(table, 10**6) == pytest.approx(C2_PUBLISHED, abs=2e-3)
 
 
 def test_c2_extrapolation_hits_published_digits():
-    table = _table(10**6)
+    table = table_for(10**6)
     c2 = c2_extrapolate(table, [10**3, 10**4, 10**5, 10**6])
     assert c2 == pytest.approx(C2_PUBLISHED, abs=1e-8)
 
 
 def test_c2_extrapolation_error_shrinks_with_range():
-    table = _table(10**6)
+    table = table_for(10**6)
     errors = [abs(c2_extrapolate(table, [top // 1000, top // 100, top // 10, top])
                   - C2_PUBLISHED)
               for top in (10**4, 10**5, 10**6)]
@@ -69,7 +69,7 @@ def test_winding_distance_in_pi_band(table400):
 
 
 def test_winding_means_pooled():
-    table = _table(30000)
+    table = table_for(30000)
     rows = winding_distance_table(table, probes=range(1, 26000))
     pooled = [r.distance for r in rows if 10 <= r.winding <= 50]
     assert abs(sum(pooled) / len(pooled) - math.pi) <= 2e-4
@@ -82,7 +82,7 @@ def test_winding_means_pooled():
     "windings 10-12 (measured 2.7e-4 at winding 12), so the 2e-4 bound "
     "is below the noise floor; the pooled mean meets it"))
 def test_winding_means_per_winding_strict():
-    table = _table(30000)
+    table = table_for(30000)
     rows = winding_distance_table(table, probes=range(1, 26000))
     avgs = winding_averages(rows)
     assert max(abs(avgs[w] - math.pi) for w in range(10, 51)) <= 2e-4
@@ -107,7 +107,7 @@ def test_archimedean_radius():
 
 def test_constants_report_csv():
     from sqspiral.constants import constants_report
-    table = _table(2000)
+    table = table_for(2000)
     report = constants_report(table, [3, 30, 300, 2000], probes=range(1, 500))
     assert report.c2_raw_at[3] == c2_estimate(table, 3)
     lines = report.winding_table_csv().splitlines()
@@ -117,7 +117,7 @@ def test_constants_report_csv():
 
 
 def test_archimedean_tracks_radii():
-    table = _table(10**6)
+    table = table_for(10**6)
     c2 = c2_extrapolate(table, [10**3, 10**4, 10**5, 10**6])
     ns = np.arange(100, 10**4)
     pred = 0.5 * table.cum_angle[ns - 1] - 0.5 * c2

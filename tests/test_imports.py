@@ -1,0 +1,62 @@
+"""No module reaches into another sqspiral module's private names.
+
+Checked statically over the package and the scripts: `from <sqspiral module>
+import _x` and `<sqspiral module>._x` both fail.  Dunder names are public.
+"""
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "sqspiral").glob("*.py")) + sorted(
+    (ROOT / "scripts").glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _is_sqspiral(module: str | None, level: int) -> bool:
+    return level > 0 or module == "sqspiral" or (module or "").startswith("sqspiral.")
+
+
+def private_imports(source: str) -> list[str]:
+    """Offending `from ... import _x` and `module._x` uses, as text."""
+    tree = ast.parse(source)
+    modules = set()  # local names bound to sqspiral modules
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _is_sqspiral(node.module, node.level):
+            for alias in node.names:
+                if _private(alias.name):
+                    bad.append(f"from {node.module or '.'} import {alias.name}")
+                elif node.module in (None, "sqspiral"):
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if _is_sqspiral(alias.name, 0):
+                    modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in modules:
+                bad.append(f"{ast.unparse(node.value)}.{node.attr}")
+    return bad
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_private_cross_module_access(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_catches_private_access():
+    assert private_imports("from sqspiral.verify import _table\n") == [
+        "from sqspiral.verify import _table"]
+    assert private_imports("from . import verify\nverify._table(400)\n") == [
+        "verify._table"]
+    assert private_imports("import sqspiral.verify\nsqspiral.verify._SUITE_FUNCS\n") == [
+        "sqspiral.verify._SUITE_FUNCS"]
+    assert private_imports("from . import __version__\nfrom .arms import members\n") == []

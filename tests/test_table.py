@@ -156,3 +156,39 @@ def test_cache_refuses_plain_mode(tmp_path):
     plain = build_table(50, mode="plain")
     with pytest.raises(ValueError, match="compensated"):
         save_table(plain, str(tmp_path / "p.bin"))
+
+
+def _rewrite(path, header=None, angles=None):
+    data = bytearray(path.read_bytes())
+    if header is not None:
+        data[5:13] = header
+    if angles is not None:
+        idx, value = angles
+        data[13 + 8 * idx: 21 + 8 * idx] = np.float64(value).tobytes()
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("header, angles, match", [
+    (b"\xff" * 8, None, "file size"),
+    ((0).to_bytes(8, "little"), None, "file size"),
+    ((399).to_bytes(8, "little"), None, "file size"),
+    (None, (0, 1e-300), "valid"),
+    (None, (1, 0.7), "valid"),
+    (None, (200, float("nan")), "valid"),
+    (None, (201, 0.5), "valid"),
+    (None, (400, float("inf")), "valid"),
+])
+def test_cache_rejects_bad_contents(tmp_path, table400, header, angles, match):
+    path = tmp_path / "t.bin"
+    save_table(table400, str(path))
+    _rewrite(path, header, angles)
+    with pytest.raises(ValueError, match=match):
+        load_table(str(path))
+
+
+def test_cache_load_is_read_only_without_copy(tmp_path, table400):
+    path = str(tmp_path / "t.bin")
+    save_table(table400, path)
+    loaded = load_table(path)
+    assert not loaded.cum_angle.flags.writeable
+    assert not loaded.cum_angle.flags.owndata
