@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -195,10 +196,11 @@ def window_seeds(table: SpiralTable, mem, seed_bound: int):
             return
         for j in window_slice(i):
             m2 = mem[j]
-            for k in window_slice(j):
-                m3 = mem[k]
-                if m1 - 2 * m2 + m3 > 0:
-                    yield m1, m2, m3
+            ks = window_slice(j)
+            # mem is sorted, so the convex m3 > 2*m2 - m1 are a suffix of ks
+            first = bisect_right(mem, 2 * m2 - m1, ks.start, ks.stop)
+            for m3 in mem[first:ks.stop]:
+                yield m1, m2, m3
 
 
 def enumerate_arms(table: SpiralTable, group: NumberGroup, max_n: int,

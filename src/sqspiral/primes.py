@@ -170,14 +170,15 @@ def prime_arm_report(table: SpiralTable, max_n: int,
     pt = sieve(max_n)
     ps = [int(i) for i in np.flatnonzero(pt.bitmap)]
     found = {}
-    for seed in window_seeds(table, ps, max_n // 4):
-        if seed[0] - 2 * seed[1] + seed[2] != 18:
+    for m1, m2, m3 in window_seeds(table, ps, max_n // 4):
+        if m1 - 2 * m2 + m3 != 18:
             continue
-        res = _trace_dense(table, pt.is_prime, seed, max_n, density_threshold)
+        res = _trace_dense(table, pt.is_prime, (m1, m2, m3), max_n,
+                           density_threshold)
         if res is None:
             continue
         mem, count = res
-        canon, _ = newton_quadratic(*seed).canonicalize()
+        canon, _ = newton_quadratic(m1, m2, m3).canonicalize()
         key = (canon.a, canon.b, canon.c)
         if key not in found or len(mem) > len(found[key].members):
             found[key] = PrimeArm(

@@ -93,8 +93,13 @@ class SpiralTable:
         """Ray m >= lo whose total angle is nearest `angle` (the first of a
         tie), searched among the two rays bracketing it; None if neither fits."""
         j = int(np.searchsorted(self.cum_angle, angle))
-        return min((m for m in (j, j + 1) if lo <= m <= self.max_n + 1),
-                   key=lambda m: abs(self.angle_of(m) - angle), default=None)
+        best, best_gap = None, math.inf
+        for m in (j, j + 1):
+            if lo <= m <= self.max_n + 1:
+                gap = abs(self.angle_of(m) - angle)
+                if gap < best_gap:
+                    best, best_gap = m, gap
+        return best
 
     def ray(self, n: int) -> RayCoord:
         total = self.angle_of(n)
@@ -223,7 +228,7 @@ def load_table(path: str) -> SpiralTable:
         if max_n < 1 or size != 13 + 8 * (max_n + 1):
             raise ValueError(f"{path}: header max_n={max_n} does not match "
                              f"the file size of {size} bytes")
-        cum = np.frombuffer(fh.read(), dtype="<f8")
+        cum = np.frombuffer(fh.read(8 * (max_n + 1)), dtype="<f8")
     if not (cum[0] == 0.0 and cum[1] == math.pi / 4
             and (cum[1:] > cum[:-1]).all() and math.isfinite(cum[-1])):
         raise ValueError(f"{path}: cached angles are not a valid table")
