@@ -35,12 +35,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
     """argparse type for sizes: a zero or negative size is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
+    value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
@@ -53,7 +50,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build and cache the angle table")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--cache", help="cache file path (overrides config/env)")
 
     p = sub.add_parser("verify", help="run a reproduction suite")
@@ -61,9 +58,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("arms", help="trace spiral arms for a number group")
     p.add_argument("--group", required=True)
-    p.add_argument("--n", type=_positive_int, default=None)
+    p.add_argument("--n", type=positive_int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--seed-bound", type=_positive_int, default=None)
+    p.add_argument("--seed-bound", type=positive_int, default=None)
 
     p = sub.add_parser("areas", help="area and angle series reports")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -81,7 +78,7 @@ def _build_parser() -> _Parser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--angles", action="store_true")
     mode.add_argument("--areas", action="store_true")
-    p.add_argument("--count", type=_positive_int, default=6)
+    p.add_argument("--count", type=positive_int, default=6)
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--figure", metavar="SVG_PATH",
                    help="also write the series as a chart")
@@ -90,13 +87,13 @@ def _build_parser() -> _Parser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--scan-d", type=int, metavar="D")
     mode.add_argument("--report", action="store_true")
-    p.add_argument("--t", type=_positive_int, default=100)
+    p.add_argument("--t", type=positive_int, default=100)
     p.add_argument("--c-min", type=int, default=-10)
     p.add_argument("--c-max", type=int, default=20)
-    p.add_argument("--n", type=_positive_int, default=None)
+    p.add_argument("--n", type=positive_int, default=None)
 
     p = sub.add_parser("render", help="deterministic SVG of the spiral")
-    p.add_argument("--n", type=_positive_int, default=None)
+    p.add_argument("--n", type=positive_int, default=None)
     p.add_argument("--group", action="append", default=[])
     p.add_argument("--arms", action="store_true",
                    help="overlay traced arms of the listed groups")
