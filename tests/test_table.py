@@ -192,3 +192,12 @@ def test_cache_load_is_read_only_without_copy(tmp_path, table400):
     loaded = load_table(path)
     assert not loaded.cum_angle.flags.writeable
     assert not loaded.cum_angle.flags.owndata
+
+
+def test_nearest_ray_matches_brute_force(table400):
+    last = table400.max_n + 1
+    for angle in (-1.0, 0.0, 0.5, TAU, 20.0, 55.5, table400.w(400) + 3.0):
+        brute = min(range(1, last + 1), key=lambda m: abs(table400.angle_of(m) - angle))
+        assert table400.nearest_ray(angle) == brute
+    assert table400.nearest_ray(TAU, lo=18) == 18   # rays 17 and 18 bracket 2*pi
+    assert table400.nearest_ray(TAU, lo=19) is None
