@@ -64,14 +64,12 @@ class WindingRow:
 
 
 def nearest_one_turn(table: SpiralTable, n: int):
-    """Ray m minimizing |(angle_of(m) - angle_of(n)) - 2*pi|, or None near table end."""
+    """Ray m minimizing |(angle_of(m) - angle_of(n)) - 2*pi|, or None when the
+    one-turn angle lies past the table end, where the ray beyond it is missing."""
     target = table.angle_of(n) + TAU
-    # No m within 2*pi + pi/2 of the probe: skip (probe too close to table end).
-    if target > float(table.cum_angle[-1]) + 0.5 * math.pi:
+    if target > float(table.cum_angle[-1]):
         return None
     m = table.nearest_ray(target, lo=n + 1)
-    if m is None or target > table.angle_of(m) + 0.5 * math.pi:
-        return None
     return m, (table.angle_of(m) - table.angle_of(n)) - TAU
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sqspiral.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from sqspiral.table import TAU, build_table
 
 
 def run(capsys, *argv):
@@ -173,3 +174,19 @@ def test_bad_cache_is_ignored(tmp_path, capsys, monkeypatch, corrupt):
     monkeypatch.setenv("SQSPIRAL_CACHE", str(cache))
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (EXIT_OK, clean, "")
+
+
+@pytest.mark.parametrize("max_n", [1000, 3000])
+def test_winding_rows_name_the_one_turn_ray(tmp_path, capsys, monkeypatch, max_n):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SQSPIRAL_CACHE", raising=False)
+    code, out, _ = run(capsys, "areas", "--winding-distances", str(max_n))
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    big = build_table(2 * max_n).cum_angle  # big[q - 1] is the angle of ray q
+    for n, m, *_ in rows:
+        target = big[int(n) - 1] + TAU
+        assert int(m) == 1 + int(np.argmin(np.abs(big - target))), n
+    # every probe whose one-turn angle the table reaches has a row, no other
+    reach = [n for n in range(1, max_n) if big[n - 1] + TAU <= big[max_n]]
+    assert [int(n) for n, *_ in rows] == reach
