@@ -65,8 +65,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("areas", help="area and angle series reports")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--bands", type=int, metavar="M_MAX")
-    mode.add_argument("--square-angles", type=int, metavar="K_MAX")
-    mode.add_argument("--same-arm", type=int, metavar="R_MAX")
+    mode.add_argument("--square-angles", type=positive_int, metavar="K_MAX")
+    mode.add_argument("--same-arm", type=positive_int, metavar="R_MAX")
     mode.add_argument("--crossings", type=int, metavar="WINDING_MAX")
     mode.add_argument("--winding-distances", type=int, metavar="MAX_N",
                       help="winding-distance CSV over all probes")
@@ -85,7 +85,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("primes", help="prime-rich polynomial scan / arm report")
     mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--scan-d", type=int, metavar="D")
+    mode.add_argument("--scan-d", type=positive_int, metavar="D")
     mode.add_argument("--report", action="store_true")
     p.add_argument("--t", type=positive_int, default=100)
     p.add_argument("--c-min", type=int, default=-10)
@@ -106,9 +106,7 @@ def _build_parser() -> _Parser:
 def _table_for(cfg: Config, max_n: int):
     if cfg.cache_path:
         try:
-            table = load_table(cfg.cache_path)
-            if table.max_n >= max_n:
-                return table
+            return load_table(cfg.cache_path, max_n)
         except (OSError, ValueError):
             pass
     return build_table(max_n)

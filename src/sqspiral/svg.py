@@ -17,12 +17,8 @@ DEFAULT_STYLE = {
     "background": "#ffffff",
     "boundary.color": "#404040",
     "boundary.width": "1.0",
-    "ray.color": "#b0b0b0",
-    "ray.width": "0.5",
     "marker.radius": "3.0",
     "arm.width": "1.5",
-    "axis.color": "#888888",
-    "text.size": "10",
 }
 
 

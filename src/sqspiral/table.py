@@ -70,7 +70,6 @@ class SpiralTable:
 
     max_n: int
     cum_angle: np.ndarray
-    built_with: str = "compensated"
 
     def w(self, k: int) -> float:
         """Cumulative angle after k triangles."""
@@ -116,10 +115,9 @@ class SpiralTable:
         )
 
 
-def _blocks(top: int, compensated: bool):
+def _blocks(top: int):
     """Yield (lo, hi, base, prefix) per CHUNK-sized block of triangles 1..top,
-    with w(k) = base + prefix[k - lo]; the carried base is Neumaier-compensated
-    when `compensated`, a bare running sum otherwise."""
+    with w(k) = base + prefix[k - lo]; the carried base is Neumaier-compensated."""
     carry = 0.0
     comp = 0.0
     for lo in range(1, top + 1, CHUNK):
@@ -129,44 +127,48 @@ def _blocks(top: int, compensated: bool):
         yield lo, hi, carry + comp, prefix
         total = float(prefix[-1])
         s = carry + total
-        if compensated:
-            if abs(carry) >= abs(total):
-                comp += (carry - s) + total
-            else:
-                comp += (total - s) + carry
+        if abs(carry) >= abs(total):
+            comp += (carry - s) + total
+        else:
+            comp += (total - s) + carry
         carry = s
 
 
-def build_table(max_n: int, mode: str = "compensated",
-                capacity: int = DEFAULT_CAPACITY) -> SpiralTable:
+def build_table(max_n: int) -> SpiralTable:
     """Build the cumulative-angle table for triangles 1..max_n.
 
     Summation runs in ascending index order over fixed-size blocks; within a
-    block a local cumulative sum is added to the carried total.  In
-    "compensated" mode the carry is accumulated with Neumaier compensation,
-    in "plain" mode with bare additions.  Output is deterministic and
-    bit-identical across runs for a given mode.
+    block a local cumulative sum is added to the carried total, which is
+    accumulated with Neumaier compensation.  Output is deterministic, and a
+    smaller build is bit-identical to a prefix of a larger one.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    if mode not in ("compensated", "plain"):
-        raise ValueError(f"unknown summation mode {mode!r}")
-    if max_n + 1 > capacity:
+    if max_n + 1 > DEFAULT_CAPACITY:
         raise CapacityError(
             f"max_n={max_n} needs {max_n + 1} entries, over the budget of "
-            f"{capacity}; raise `capacity` explicitly if intended")
+            f"{DEFAULT_CAPACITY}")
     cum = np.empty(max_n + 1, dtype=np.float64)
     cum[0] = 0.0
-    for lo, hi, base, prefix in _blocks(max_n, mode == "compensated"):
+    for lo, hi, base, prefix in _blocks(max_n):
         cum[lo:hi] = base + prefix
     cum.flags.writeable = False  # tables are shared read-only
-    return SpiralTable(max_n=max_n, cum_angle=cum, built_with=mode)
+    return SpiralTable(max_n=max_n, cum_angle=cum)
 
 
 @lru_cache(maxsize=12)
-def table_for(max_n: int, mode: str = "compensated") -> SpiralTable:
-    """Shared read-only table for (max_n, mode), built once per process."""
-    return build_table(max_n, mode=mode)
+def table_for(max_n: int) -> SpiralTable:
+    """Shared read-only table for max_n, built once per process."""
+    return build_table(max_n)
+
+
+def uncompensated_w(k: int) -> float:
+    """w(k) with the block totals carried by bare additions, no compensation;
+    its gap to the table's w(k) bounds the carry's rounding error."""
+    total = 0.0
+    for _, _, _, prefix in _blocks(k):
+        total += float(prefix[-1])
+    return total
 
 
 def stream_cum_angles(ks) -> dict[int, float]:
@@ -188,7 +190,7 @@ def stream_cum_angles(ks) -> dict[int, float]:
     if not ks:
         return out
     pos = 0
-    for lo, hi, base, prefix in _blocks(ks[-1], compensated=True):
+    for lo, hi, base, prefix in _blocks(ks[-1]):
         while pos < len(ks) and ks[pos] < hi:
             out[ks[pos]] = base + float(prefix[ks[pos] - lo])
             pos += 1
@@ -196,13 +198,7 @@ def stream_cum_angles(ks) -> dict[int, float]:
 
 
 def save_table(table: SpiralTable, path: str) -> None:
-    """Persist a table: b"SQSP", version 0x01, u64-LE max_n, float64-LE angles.
-
-    Only the canonical compensated mode is cacheable (the format carries no
-    mode tag).
-    """
-    if table.built_with != "compensated":
-        raise ValueError("only compensated-mode tables are cacheable")
+    """Persist a table: b"SQSP", version 0x01, u64-LE max_n, float64-LE angles."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(CACHE_MAGIC)
@@ -212,10 +208,10 @@ def save_table(table: SpiralTable, path: str) -> None:
     os.replace(tmp, path)
 
 
-def load_table(path: str) -> SpiralTable:
-    """Read a cached table, rejecting it (ValueError) unless the header
-    matches the file size and the angles start 0, pi/4 and strictly increase
-    to a finite end."""
+def load_table(path: str, max_n: int) -> SpiralTable:
+    """Read the first max_n+1 angles of a cached table, rejecting the cache
+    (ValueError) unless its header matches the file size and covers max_n,
+    and the prefix starts 0, pi/4 and strictly increases to a finite end."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CACHE_MAGIC:
@@ -223,13 +219,16 @@ def load_table(path: str) -> SpiralTable:
         version = fh.read(1)
         if version != bytes([CACHE_VERSION]):
             raise ValueError(f"{path}: unsupported cache version {version!r}")
-        (max_n,) = struct.unpack("<Q", fh.read(8))
+        (stored_n,) = struct.unpack("<Q", fh.read(8))
         size = os.fstat(fh.fileno()).st_size
-        if max_n < 1 or size != 13 + 8 * (max_n + 1):
-            raise ValueError(f"{path}: header max_n={max_n} does not match "
+        if stored_n < 1 or size != 13 + 8 * (stored_n + 1):
+            raise ValueError(f"{path}: header max_n={stored_n} does not match "
                              f"the file size of {size} bytes")
+        if not 1 <= max_n <= stored_n:
+            raise ValueError(f"{path}: holds max_n={stored_n}, cannot serve "
+                             f"max_n={max_n}")
         cum = np.frombuffer(fh.read(8 * (max_n + 1)), dtype="<f8")
     if not (cum[0] == 0.0 and cum[1] == math.pi / 4
             and (cum[1:] > cum[:-1]).all() and math.isfinite(cum[-1])):
         raise ValueError(f"{path}: cached angles are not a valid table")
-    return SpiralTable(max_n=int(max_n), cum_angle=cum, built_with="compensated")
+    return SpiralTable(max_n=max_n, cum_angle=cum)

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from sqspiral import cli
 from sqspiral.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from sqspiral.table import TAU, build_table
 
@@ -143,6 +144,9 @@ def test_config_file_and_env_cache(tmp_path, capsys, monkeypatch):
     ["primes", "--scan-d", "18", "--t", "-1"],
     ["fib", "--angles", "--count", "0"],
     ["render", "--n", "0", "--out", "x.svg"],
+    ["areas", "--square-angles", "0"],
+    ["areas", "--same-arm", "-2"],
+    ["primes", "--scan-d", "0"],
 ])
 def test_non_positive_sizes_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -174,6 +178,33 @@ def test_bad_cache_is_ignored(tmp_path, capsys, monkeypatch, corrupt):
     monkeypatch.setenv("SQSPIRAL_CACHE", str(cache))
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (EXIT_OK, clean, "")
+
+
+def _no_build(max_n):
+    raise AssertionError(f"built a table of {max_n} although the cache holds it")
+
+
+@pytest.mark.parametrize("argv", [
+    ["areas", "--square-angles", "20"],
+    ["areas", "--same-arm", "20"],
+    ["areas", "--crossings", "4"],
+    ["areas", "--winding-distances", "1000"],
+    ["fib", "--angles", "--count", "8"],
+    ["arms", "--group", "div:7", "--n", "300", "--format", "json"],
+    ["primes", "--report", "--n", "500"],
+    ["render", "--n", "200", "--group", "squares", "--arms", "--out", "fig.svg"],
+], ids=" ".join)
+def test_output_same_with_or_without_cache(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SQSPIRAL_CACHE", raising=False)
+    bare = run(capsys, *argv)
+    files = {p.name: p.read_bytes() for p in tmp_path.glob("*.svg")}
+    assert bare[0] == EXIT_OK
+    run(capsys, "build", "--n", "5000", "--cache", "big.bin")
+    monkeypatch.setenv("SQSPIRAL_CACHE", str(tmp_path / "big.bin"))
+    monkeypatch.setattr(cli, "build_table", _no_build)
+    assert run(capsys, *argv) == bare
+    assert {p.name: p.read_bytes() for p in tmp_path.glob("*.svg")} == files
 
 
 @pytest.mark.parametrize("max_n", [1000, 3000])

@@ -77,6 +77,8 @@ def test_style_parsing():
     assert style["arm.width"] == DEFAULT_STYLE["arm.width"]
     with pytest.raises(ValueError, match="unknown key"):
         parse_style("nonsense = 1")
+    with pytest.raises(ValueError, match="unknown key 'ray.color'"):
+        parse_style("ray.color = #b0b0b0")  # a key nothing draws with
     with pytest.raises(ValueError, match="key=value"):
         parse_style("just words")
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sqspiral.table import (CHUNK, CapacityError, build_table, load_table,
-                            save_table, segment_angle, stream_cum_angles,
-                            wrap_signed, TAU)
+from sqspiral.table import (CHUNK, DEFAULT_CAPACITY, CapacityError, build_table,
+                            load_table, save_table, segment_angle,
+                            stream_cum_angles, uncompensated_w, wrap_signed, TAU)
 
 
 def test_segment_angle_values():
@@ -70,22 +70,24 @@ def test_term_comparison_underlying_decrease():
 def test_build_deterministic_and_prefix_stable(table100k):
     again = build_table(100000)
     assert again.cum_angle.tobytes() == table100k.cum_angle.tobytes()
-    small = build_table(1000)
-    assert small.cum_angle.tobytes() == table100k.cum_angle[:1001].tobytes()
+    # a cache serves the prefix of a larger build, so the bits must agree
+    for n in (1, 2, 3, 7, 400, 432, 600, 1000, 2100, 3100,
+              CHUNK - 1, CHUNK, CHUNK + 1, 99999):
+        small = build_table(n)
+        assert small.cum_angle.tobytes() == table100k.cum_angle[:n + 1].tobytes()
 
 
-def test_plain_vs_compensated_gap():
+def test_plain_vs_compensated_gap(table100k):
     comp = build_table(10**6)
-    plain = build_table(10**6, mode="plain")
-    assert plain.built_with == "plain"
-    assert abs(comp.w(10**6) - plain.w(10**6)) <= 1e-10
+    assert abs(comp.w(10**6) - uncompensated_w(10**6)) <= 1e-10
+    assert uncompensated_w(CHUNK) == table100k.w(CHUNK)  # one block: no carry
 
 
-def test_build_rejects_bad_mode_and_capacity():
+def test_build_rejects_bad_size_and_capacity():
     with pytest.raises(ValueError):
-        build_table(10, mode="fancy")
+        build_table(0)
     with pytest.raises(CapacityError, match="budget"):
-        build_table(10**6, capacity=1000)
+        build_table(DEFAULT_CAPACITY)  # raises before allocating
 
 
 def test_ray_coordinates(table400):
@@ -133,9 +135,8 @@ def test_stream_matches_table(table100k):
 def test_cache_round_trip(tmp_path, table400):
     path = str(tmp_path / "t.bin")
     save_table(table400, path)
-    loaded = load_table(path)
+    loaded = load_table(path, 400)
     assert loaded.max_n == table400.max_n
-    assert loaded.built_with == "compensated"
     assert loaded.cum_angle.tobytes() == table400.cum_angle.tobytes()
     save_table(table400, path)  # rewrite is byte-identical
     with open(path, "rb") as fh:
@@ -149,13 +150,7 @@ def test_cache_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
-        load_table(str(path))
-
-
-def test_cache_refuses_plain_mode(tmp_path):
-    plain = build_table(50, mode="plain")
-    with pytest.raises(ValueError, match="compensated"):
-        save_table(plain, str(tmp_path / "p.bin"))
+        load_table(str(path), 10)
 
 
 def _rewrite(path, header=None, angles=None):
@@ -183,15 +178,27 @@ def test_cache_rejects_bad_contents(tmp_path, table400, header, angles, match):
     save_table(table400, str(path))
     _rewrite(path, header, angles)
     with pytest.raises(ValueError, match=match):
-        load_table(str(path))
+        load_table(str(path), 400)
+
+
+@pytest.mark.parametrize("max_n", [0, 401])
+def test_cache_rejects_requests_it_cannot_serve(tmp_path, table400, max_n):
+    path = str(tmp_path / "t.bin")
+    save_table(table400, path)
+    with pytest.raises(ValueError, match="cannot serve"):
+        load_table(path, max_n)
 
 
 def test_cache_load_is_read_only_without_copy(tmp_path, table400):
-    path = str(tmp_path / "t.bin")
-    save_table(table400, path)
-    loaded = load_table(path)
-    assert not loaded.cum_angle.flags.writeable
-    assert not loaded.cum_angle.flags.owndata
+    path = tmp_path / "t.bin"
+    save_table(table400, str(path))
+    _rewrite(path, angles=(400, float("nan")))  # past every prefix read below
+    for max_n in (1, 200, 399):
+        loaded = load_table(str(path), max_n)
+        assert loaded.max_n == max_n and len(loaded.cum_angle) == max_n + 1
+        assert loaded.cum_angle.tobytes() == table400.cum_angle[:max_n + 1].tobytes()
+        assert not loaded.cum_angle.flags.writeable
+        assert not loaded.cum_angle.flags.owndata
 
 
 def test_nearest_ray_matches_brute_force(table400):
