@@ -73,8 +73,7 @@ def nearest_one_turn(table: SpiralTable, n: int):
     return m, (table.angle_of(m) - table.angle_of(n)) - TAU
 
 
-def winding_distance_table(table: SpiralTable, probes=None,
-                           max_winding: int | None = None) -> list[WindingRow]:
+def winding_distance_table(table: SpiralTable, probes=None) -> list[WindingRow]:
     """Winding-distance rows sqrt(m) - sqrt(n) for each probe ray n.
 
     Default probes are all n >= 1; probes whose successor search runs off the
@@ -88,11 +87,8 @@ def winding_distance_table(table: SpiralTable, probes=None,
         if hit is None:
             continue
         m, gap = hit
-        wind = table.winding(m)
-        if max_winding is not None and wind > max_winding:
-            break
         rows.append(WindingRow(n=n, m=m, distance=math.sqrt(m) - math.sqrt(n),
-                               winding=wind, gap=gap))
+                               winding=table.winding(m), gap=gap))
     return rows
 
 

@@ -33,11 +33,11 @@ class PrimalityTable:
 
 
 def sieve(max_n: int) -> PrimalityTable:
-    """Eratosthenes bitmap for 0..max_n."""
+    """Eratosthenes bitmap for 0..max_n; a size over the budget is refused."""
     if max_n < 2:
         raise ValueError("sieve needs max_n >= 2")
     if max_n > SIEVE_CAPACITY:
-        raise MemoryError(f"sieve of {max_n} exceeds budget {SIEVE_CAPACITY}")
+        raise ValueError(f"sieve of {max_n} exceeds budget {SIEVE_CAPACITY}")
     bm = np.ones(max_n + 1, dtype=bool)
     bm[:2] = False
     for p in range(2, math.isqrt(max_n) + 1):
@@ -79,34 +79,30 @@ def scan_prime_polys(second_differential: int, c_range, sample_count: int = 100
     """Rank canonical quadratics with the given second differential by prime
     density over t = 1..sample_count.
 
-    Enumerates b on the half-integer lattice in [0, 2a), c over c_range,
-    keeping integer-valued polynomials with positive values; ties in density
-    break on canonical (a, b, c) order.
+    Enumerates the integer-valued polynomials, 2b in [0, 2D) with the parity
+    of D = second_differential and c over c_range, keeping those with
+    positive values; ties in density break on canonical (a, b, c) order.
     """
     if sample_count < 50:
         raise ValueError("sample_count must be >= 50")
-    a = Fraction(second_differential, 2)
+    if not c_range:
+        raise ValueError(f"scan needs a non-empty c range, got {c_range!r}")
+    d = second_differential
     c_lo, c_hi = min(c_range), max(c_range)
-    top = int(a * sample_count * sample_count
-              + (2 * a) * sample_count + abs(c_hi) + abs(c_lo)) + 1
-    table = sieve(max(top, 2))
+    bitmap = sieve(max(d * sample_count * sample_count // 2 + d * sample_count
+                       + abs(c_hi) + abs(c_lo) + 1, 2)).bitmap
+    t = np.arange(1, sample_count + 1, dtype=np.int64)
     rows = []
-    b = Fraction(0) if a.denominator == 1 else Fraction(1, 2)
-    while b < 2 * a:
-        for c in range(c_lo, c_hi + 1):
-            poly = QuadraticPoly(a, b, c)
-            if not poly.is_integer_valued():
-                break  # no integer c fixes a bad (a, b) parity
-            vals = [int(poly(t)) for t in range(1, sample_count + 1)]
-            if vals[0] < 1:
-                continue
-            hits = sum(1 for v in vals if table.is_prime(v))
-            rows.append(PolyDensityRow(poly=poly, sample_count=sample_count,
-                                       prime_count=hits,
-                                       coprime6=coprime6_check(poly)))
-        b += Fraction(1, 2)
-    rows.sort(key=lambda r: (-r.prime_count,
-                             r.poly.a, r.poly.b, r.poly.c))
+    for b2 in range(d % 2, 2 * d, 2):
+        # values rise with t (b >= 0), so a row is positive iff its t=1 value is
+        base = (d * t * t + b2 * t) // 2
+        for c in range(max(c_lo, 1 - int(base[0])), c_hi + 1):
+            poly = QuadraticPoly(Fraction(d, 2), Fraction(b2, 2), c)
+            rows.append(PolyDensityRow(
+                poly=poly, sample_count=sample_count,
+                prime_count=int(np.count_nonzero(bitmap[base + c])),
+                coprime6=coprime6_check(poly)))
+    rows.sort(key=lambda r: (-r.prime_count, r.poly.b, r.poly.c))
     return rows
 
 
@@ -131,31 +127,28 @@ class PrimeArm:
 
 def _trace_dense(table: SpiralTable, is_prime, seed, max_n, threshold):
     """Trace a quadratic through a prime seed, tolerating composite values as
-    long as the running prime density stays at or above the threshold."""
+    long as the running prime density stays at or above the threshold; the
+    arm ends on its last prime, which only raises its density."""
     m1, m2, m3 = seed
     d2 = m1 - 2 * m2 + m3
     if not (in_window(table, m1, m2) and in_window(table, m2, m3)):
         return None
     mem = [m1, m2, m3]
-    hits = [True, True, True]
+    count = end = 3  # primes so far; length through the last prime
     while True:
         nxt = 2 * mem[-1] - mem[-2] + d2
-        if nxt <= mem[-1] or nxt > max_n or not in_window(table, mem[-1], nxt):
+        if nxt > max_n or not in_window(table, mem[-1], nxt):
             break
         prime = is_prime(nxt)
-        if (sum(hits) + prime) / (len(mem) + 1) < threshold:
+        if (count + prime) / (len(mem) + 1) < threshold:
             break
         mem.append(nxt)
-        hits.append(prime)
-    while hits and not hits[-1]:  # an arm ends on a prime
-        hits.pop()
-        mem.pop()
-    if len(mem) < MIN_ARM_LEN:
+        if prime:
+            count += 1
+            end = len(mem)
+    if end < MIN_ARM_LEN:
         return None
-    count = sum(hits)
-    if count / len(mem) < threshold:
-        return None
-    return tuple(mem), count
+    return tuple(mem[:end]), count
 
 
 def prime_arm_report(table: SpiralTable, max_n: int,

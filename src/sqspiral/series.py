@@ -102,20 +102,19 @@ def square_angle_series(table: SpiralTable, k_max: int) -> AnalysisSeries:
                           provenance="successor square-number angle, radians")
 
 
-def same_arm_angle_series(table: SpiralTable, r_max: int,
-                          root_step: int = 3) -> AnalysisSeries:
-    """Wrapped angle between the rays of r^2 and (r+step)^2, degrees.
+def same_arm_angle_series(table: SpiralTable, r_max: int) -> AnalysisSeries:
+    """Wrapped angle between the rays of r^2 and (r+3)^2, degrees.
 
-    For step 3 this is the angle between square numbers on successive winds;
+    This is the angle between square numbers on successive winds;
     limit 360 - 3*(360/pi) = 16.2253 degrees.
     """
-    if (r_max + root_step) ** 2 > table.max_n + 1:
-        raise IndexError(f"table of {table.max_n} cannot reach ray {(r_max + root_step) ** 2}")
+    if (r_max + 3) ** 2 > table.max_n + 1:
+        raise IndexError(f"table of {table.max_n} cannot reach ray {(r_max + 3) ** 2}")
     terms = tuple(
-        (r, abs(wrap_signed(table.angle_of((r + root_step) ** 2)
+        (r, abs(wrap_signed(table.angle_of((r + 3) ** 2)
                             - table.angle_of(r * r))) * DEG)
         for r in range(1, r_max + 1))
-    limit = 360.0 - root_step * (360.0 / math.pi)
+    limit = 360.0 - 3 * (360.0 / math.pi)
     return AnalysisSeries("same_arm_angle", terms, claimed_limit=limit,
                           provenance="square numbers one wind apart, degrees")
 

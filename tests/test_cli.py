@@ -147,11 +147,14 @@ def test_config_file_and_env_cache(tmp_path, capsys, monkeypatch):
     ["areas", "--square-angles", "0"],
     ["areas", "--same-arm", "-2"],
     ["primes", "--scan-d", "0"],
+    ["primes", "--scan-d", "18", "--c-min", "5", "--c-max", "1"],  # empty c range
+    ["primes", "--scan-d", "18", "--t", "10000"],  # sieve over its budget
 ])
 def test_non_positive_sizes_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == "" and "usage error" in err
+    assert err.count("\n") == 1
 
 
 def _corrupt_nan(data: bytes) -> bytes:

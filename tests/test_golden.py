@@ -1,7 +1,8 @@
 """Golden SHA-256 digests of user-visible outputs.
 
 The digests were taken before the arm engines, the angle summation and the
-nearest-ray search were consolidated; refactors must leave these outputs
+nearest-ray search were consolidated (the two scan digests before the scan
+moved to integer arithmetic); refactors must leave these outputs
 byte-identical.  The one exception is the winding-distance digest, retaken
 when rows whose one-turn ray lies past the table end were dropped.  The `verify all` report digest lives in test_acceptance.py,
 next to the fixture that already runs every suite.
@@ -44,6 +45,10 @@ CLI_STDOUT = {
         "6e6fb1296f1bb321cfec257b098e0ad02f70e4d7abbf1e78085266ea72fbb4c6",
     "areas --crossings 6":
         "12b89b73c3b984c228c523fb94a786bb78f02093b8ad59dd292ea5918e0e008b",
+    "primes --scan-d 18 --t 100":
+        "e1c15caff2b94add13d4c188870c6e3818674a0c069cded1e3e802a24665eba5",
+    "primes --scan-d 17 --t 60 --c-min -3 --c-max 4":  # odd D: the other b parity
+        "1049df1d6ebb0bd2602ee64e11ab645068d448cd6549e6a7e8c24a85a5ad8cfe",
 }
 
 RENDER_SQUARES_300 = "f0cc2db36f4bf352072957cda81391cc96057547aee7f74bec2ea81d8a4c9227"

@@ -60,6 +60,21 @@ def test_scan_contains_published_polys():
     assert k5.coprime6
 
 
+@pytest.mark.parametrize("d", [17, 18])
+def test_scan_lists_each_integer_valued_poly_once(d):
+    c_range = range(-12, 9)
+    rows = scan_prime_polys(d, c_range, 50)
+    # canonical 2b in [0, 2D), integer-valued iff D + 2b is even, value >= 1 at t=1
+    want = {(b2, c) for b2 in range(2 * d) if (d + b2) % 2 == 0
+            for c in c_range if (d + b2) // 2 + c >= 1}
+    got = [(2 * r.poly.b, r.poly.c) for r in rows]
+    assert len(got) == len(set(got)) and set(got) == want
+    for r in rows:
+        assert r.poly.a == Fr(d, 2) and r.poly.is_integer_valued()
+        assert r.prime_count == sum(trial_division(int(r.poly(t)))
+                                    for t in range(1, 51))
+
+
 def test_scan_all_even_poly_has_no_primes():
     rows = scan_prime_polys(18, range(2, 3), 60)
     even = next(r for r in rows if r.poly == QuadraticPoly(9, 9, 2))
@@ -74,6 +89,8 @@ def test_scan_deterministic_ranking():
     assert counts == sorted(counts, reverse=True)
     with pytest.raises(ValueError):
         scan_prime_polys(18, range(0, 1), 10)
+    with pytest.raises(ValueError, match="c range"):
+        scan_prime_polys(18, range(5, 2), 60)
 
 
 def test_prime_arm_report(table2000):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sqspiral.table import (CHUNK, DEFAULT_CAPACITY, CapacityError, build_table,
-                            load_table, save_table, segment_angle,
+from sqspiral.table import (CHUNK, DEFAULT_CAPACITY, CapacityError, _blocks,
+                            build_table, load_table, save_table, segment_angle,
                             stream_cum_angles, uncompensated_w, wrap_signed, TAU)
 
 
@@ -81,6 +81,15 @@ def test_plain_vs_compensated_gap(table100k):
     comp = build_table(10**6)
     assert abs(comp.w(10**6) - uncompensated_w(10**6)) <= 1e-10
     assert uncompensated_w(CHUNK) == table100k.w(CHUNK)  # one block: no carry
+
+
+def test_block_bases_carry_exact_sum_of_block_totals():
+    # pins the Neumaier carry: bare addition of the totals is 2 ulp off at 1e6
+    totals = []
+    for _, _, base, prefix in _blocks(10**6):
+        assert base == math.fsum(totals)
+        totals.append(float(prefix[-1]))
+    assert len(totals) == -(-10**6 // CHUNK)
 
 
 def test_build_rejects_bad_size_and_capacity():
