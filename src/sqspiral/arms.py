@@ -70,6 +70,8 @@ def members(group: NumberGroup, max_n: int) -> list[int]:
     if group.kind == "squares":
         return [i * i for i in range(1, math.isqrt(max_n) + 1)]
     if group.kind == "primes":
+        if max_n < 2:
+            return []
         from . import primes as _primes
         bitmap = _primes.sieve(max_n).bitmap
         return [int(i) for i in np.flatnonzero(bitmap)]
@@ -137,10 +139,12 @@ def direction_of(table: SpiralTable, mem) -> str:
 
 
 def trace_arm(table: SpiralTable, memberset, seed, max_n: int):
-    """Fit a quadratic through the seed triple and extend it both ways.
+    """Fit a quadratic through the seed triple and extend it forward.
 
     Returns the maximal Arm, or None when the seed is not quadratic-extendable
-    to MIN_ARM_LEN members (a rejection, not an error).
+    to MIN_ARM_LEN members, or when it is not the first triple of its chain
+    (a rejection, not an error): each chain is traced once, from the triple
+    whose window-valid predecessor is missing.
     """
     m1, m2, m3 = seed
     if not (m1 < m2 < m3):
@@ -152,30 +156,22 @@ def trace_arm(table: SpiralTable, memberset, seed, max_n: int):
     d2 = m1 - 2 * m2 + m3
     if d2 <= 0:
         return None  # not convex: no genuine arm polynomial (a > 0 required)
+    prv = 2 * m1 - m2 + d2
+    if 1 <= prv < m1 and prv in memberset and in_window(table, prv, m1):
+        return None  # mid-chain seed: traced from the chain's first triple
     mem = [m1, m2, m3]
-    while True:  # forward
+    while True:  # steps grow by d2 > 0, so members rise
         nxt = 2 * mem[-1] - mem[-2] + d2
-        if nxt <= mem[-1] or nxt > max_n or nxt not in memberset:
+        if nxt > max_n or nxt not in memberset:
             break
         if not in_window(table, mem[-1], nxt):
             break
         mem.append(nxt)
-    back = 0
-    while True:  # backward
-        prv = 2 * mem[0] - mem[1] + d2
-        if prv < 1 or prv >= mem[0] or prv not in memberset:
-            break
-        if not in_window(table, prv, mem[0]):
-            break
-        mem.insert(0, prv)
-        back += 1
     if len(mem) < MIN_ARM_LEN:
         return None
-    fitted = newton_quadratic(m1, m2, m3)   # members[back] = fitted(1)
-    canon, shift = fitted.canonicalize()
-    start_t = (1 - back) - shift
+    canon, shift = newton_quadratic(m1, m2, m3).canonicalize()
     mem = tuple(mem)
-    return Arm(members=mem, poly=canon, start_t=start_t,
+    return Arm(members=mem, poly=canon, start_t=1 - shift,
                drifts=step_drifts(table, mem),
                direction=direction_of(table, mem))
 
@@ -208,8 +204,9 @@ def enumerate_arms(table: SpiralTable, group: NumberGroup, max_n: int,
     """All distinct arms reachable from window-consistent seed triples.
 
     Seeds run over member triples with m1 <= seed_bound (default max_n/4);
-    arms deduplicate on their canonical polynomial, and the output order is
-    by canonical (a, b, c), then start_t -- independent of search order.
+    each chain is traced once, forward from its first triple.  Arms
+    deduplicate on their canonical polynomial, and the output order is by
+    canonical (a, b, c), then start_t -- independent of search order.
     """
     mem = members(group, max_n)
     if seed_bound is None:

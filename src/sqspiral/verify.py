@@ -186,7 +186,8 @@ def suite_fig15() -> list[Check]:
 
 
 # --------------------------------------------------------------------------
-def _arm_reports():
+@lru_cache(maxsize=1)
+def _cached_arm_reports():
     reports = {}
     for spec in ("div:2", "div:3", "div:5", "div:7", "div:11", "div:13",
                  "div:17", "div:19", "squares"):
@@ -196,11 +197,6 @@ def _arm_reports():
         arms = enumerate_arms(table, group, max_n)
         reports[spec] = classify_systems(arms, group, max_n)
     return reports
-
-
-@lru_cache(maxsize=1)
-def _cached_arm_reports():
-    return _arm_reports()
 
 
 def _window_filtered(table: SpiralTable, seq) -> list[int]:

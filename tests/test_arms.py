@@ -5,8 +5,9 @@ from fractions import Fraction as Fr
 import pytest
 
 from sqspiral.arms import (NumberGroup, b_hat_lattice_ok, direction_of,
-                           enumerate_arms, members, parse_group, trace_arm,
-                           verify_rule_5_2, report_csv, report_json)
+                           enumerate_arms, in_window, members, parse_group,
+                           trace_arm, verify_rule_5_2, report_csv, report_json,
+                           window_seeds)
 from sqspiral.ratpoly import QuadraticPoly, second_differential
 from sqspiral.table import table_for, wrap_signed
 from sqspiral.verify import _cached_arm_reports
@@ -26,6 +27,7 @@ def test_members_examples():
     assert members(parse_group("squares"), 40) == [1, 4, 9, 16, 25, 36]
     assert members(parse_group("fib"), 25) == [1, 2, 3, 5, 8, 13, 21]
     assert members(parse_group("primes"), 30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert members(parse_group("primes"), 1) == []
 
 
 def _trace(table, spec, seed, max_n):
@@ -35,7 +37,7 @@ def _trace(table, spec, seed, max_n):
 
 def test_trace_known_arms(table2000):
     arm = _trace(table2000, "div:11", (22, 77, 154), 600)
-    assert arm.members[:6] == (22, 77, 154, 253, 374, 517)
+    assert arm.members == (22, 77, 154, 253, 374, 517)   # the whole chain
     assert arm.poly == QuadraticPoly(11, 0, -22)   # 11x^2+22x-11 shifted by -1
     assert arm.poly(arm.start_t) == arm.members[0]
     arm = _trace(table2000, "squares", (1, 16, 49), 600)
@@ -60,6 +62,8 @@ def test_trace_rejections(table2000):
     assert _trace(table2000, "div:2", (2, 12, 22), 600) is None
     # first pair advances less than half a winding: outside the window
     assert _trace(table2000, "div:13", (26, 39, 65), 600) is None
+    # a mid-chain seed: its chain is traced from its first triple (22, 77, 154)
+    assert _trace(table2000, "div:11", (77, 154, 253), 600) is None
     with pytest.raises(ValueError):
         _trace(table2000, "div:7", (14, 49, 105), 5000)
 
@@ -187,3 +191,25 @@ def test_enumerate_matches_brute_force(table400, spec, count):
     expected = _brute_force_arms(table400, group, 300)
     assert len(expected) == count
     assert {a.members for a in enumerate_arms(table400, group, 300)} == expected
+
+
+@pytest.mark.parametrize("spec", ["div:2", "div:3", "primes"])
+def test_each_chain_traced_once(table400, spec):
+    group = parse_group(spec)
+    mem = members(group, 300)
+    memberset = set(mem)
+    traced = [arm.members for seed in window_seeds(table400, mem, 75)
+              if (arm := trace_arm(table400, memberset, seed, 300)) is not None]
+    assert len(set(traced)) == len(traced)
+    assert len(traced) == len(_brute_force_arms(table400, group, 300))
+
+
+@pytest.mark.parametrize("spec", ["div:2", "primes"])
+def test_window_seeds_match_brute_force(table400, spec):
+    """window_seeds' searchsorted bounds agree with in_window, triple by triple
+    and in lexicographic order, so each chain's first triple is a seed."""
+    mem = members(parse_group(spec), 300)
+    expected = [(m1, m2, m3) for m1, m2, m3 in itertools.combinations(mem, 3)
+                if m1 <= 75 and m1 - 2 * m2 + m3 > 0
+                and in_window(table400, m1, m2) and in_window(table400, m2, m3)]
+    assert list(window_seeds(table400, mem, 75)) == expected
