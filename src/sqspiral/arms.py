@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .table import TAU, SpiralTable, wrap_signed
+from .table import TAU, SpiralTable
 from .ratpoly import QuadraticPoly, newton_quadratic
 
 WINDOW_LO = math.pi        # winding window: advance in (2*pi - pi, 2*pi + pi)
@@ -88,12 +88,13 @@ def members(group: NumberGroup, max_n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Arm:
-    """A maximal traced arm with its canonical polynomial."""
+    """A maximal traced arm with its canonical polynomial; its drifts and
+    direction come from the steps of the walk that traced it."""
 
     members: tuple
     poly: QuadraticPoly           # canonical: b in [0, 2a)
     start_t: int                  # poly(start_t + i) == members[i]
-    drifts: tuple                 # per-step advance minus 2*pi, radians
+    drifts: tuple                 # per traced step: advance - 2*pi, in (-pi, pi)
     direction: str                # "P", "N", or "indeterminate"
 
     @property
@@ -111,26 +112,17 @@ def in_window(table: SpiralTable, a: int, b: int) -> bool:
     return WINDOW_LO < d < WINDOW_HI
 
 
-def step_drifts(table: SpiralTable, mem) -> tuple:
-    """Signed per-step drift: angular advance minus one turn, in (-pi, pi].
-
-    Window-valid steps land in (-pi, pi) without reduction; the wrap only
-    matters when drifts are requested for raw member lists.
-    """
-    return tuple(wrap_signed((table.angle_of(b) - table.angle_of(a)) - TAU)
-                 for a, b in zip(mem, mem[1:]))
-
-
-def direction_of(table: SpiralTable, mem) -> str:
-    """P/N from the median early drift (first min(5, len-1) steps).
+def direction_of(drifts) -> str:
+    """P/N from the median early drift (the first min(5, len) of an arm's
+    per-step drifts).
 
     The median, not the mean: a single large transient on the innermost step
     must not outvote an otherwise one-sided early curl.  Calibrated so the
     square-number arms classify P.
     """
-    if len(mem) < 2:
-        raise ValueError("direction needs at least 2 members")
-    ds = sorted(step_drifts(table, mem[: min(5, len(mem) - 1) + 1]))
+    if not drifts:
+        raise ValueError("direction needs at least one drift")
+    ds = sorted(drifts[:5])
     k = len(ds)
     med = ds[k // 2] if k % 2 else 0.5 * (ds[k // 2 - 1] + ds[k // 2])
     if med == 0.0:
@@ -141,46 +133,47 @@ def direction_of(table: SpiralTable, mem) -> str:
 def trace_arm(table: SpiralTable, memberset, seed, max_n: int):
     """Fit a quadratic through the seed triple and extend it forward.
 
-    Returns the maximal Arm, or None when the seed is not quadratic-extendable
-    to MIN_ARM_LEN members, or when it is not the first triple of its chain
-    (a rejection, not an error): each chain is traced once, from the triple
-    whose window-valid predecessor is missing.
+    The walk reads each member's angle once; its window-valid steps give the
+    arm's drifts and direction.  Returns the maximal Arm, or None (a
+    rejection, not an error) when the seed is not quadratic-extendable to
+    MIN_ARM_LEN members -- including a seed whose m2 or m3 is not a member,
+    is past max_n, or steps outside the window, which `window_seeds` never
+    yields -- or when it is not the first triple of its chain: each chain is
+    traced once, from the triple whose window-valid predecessor is missing.
     """
     m1, m2, m3 = seed
     if not (m1 < m2 < m3):
         raise ValueError("seed must be strictly increasing")
     if max_n > table.max_n:
         raise ValueError(f"table covers only {table.max_n} < max_n={max_n}")
-    if not (in_window(table, m1, m2) and in_window(table, m2, m3)):
-        return None
     d2 = m1 - 2 * m2 + m3
     if d2 <= 0:
         return None  # not convex: no genuine arm polynomial (a > 0 required)
     prv = 2 * m1 - m2 + d2
     if 1 <= prv < m1 and prv in memberset and in_window(table, prv, m1):
         return None  # mid-chain seed: traced from the chain's first triple
-    mem = [m1, m2, m3]
-    while True:  # steps grow by d2 > 0, so members rise
-        nxt = 2 * mem[-1] - mem[-2] + d2
-        if nxt > max_n or nxt not in memberset:
-            break
-        if not in_window(table, mem[-1], nxt):
+    mem, drifts = [m1], []
+    angle, nxt = table.angle_of(m1), m2
+    while nxt <= max_n and nxt in memberset:  # steps grow by d2 > 0
+        nxt_angle = table.angle_of(nxt)
+        step = nxt_angle - angle
+        if not WINDOW_LO < step < WINDOW_HI:
             break
         mem.append(nxt)
+        drifts.append(step - TAU)  # inside the window: already in (-pi, pi)
+        angle, nxt = nxt_angle, 2 * nxt - mem[-2] + d2
     if len(mem) < MIN_ARM_LEN:
         return None
     canon, shift = newton_quadratic(m1, m2, m3).canonicalize()
-    mem = tuple(mem)
-    return Arm(members=mem, poly=canon, start_t=1 - shift,
-               drifts=step_drifts(table, mem),
-               direction=direction_of(table, mem))
+    return Arm(members=tuple(mem), poly=canon, start_t=1 - shift,
+               drifts=tuple(drifts), direction=direction_of(drifts))
 
 
 def window_seeds(table: SpiralTable, mem, seed_bound: int):
     """Seed triples (m1, m2, m3) of the sorted members `mem`: convex
     (m1 - 2*m2 + m3 > 0), each step inside the winding window, m1 <= seed_bound.
     """
-    angles = np.array([table.angle_of(m) for m in mem])
+    angles = table.cum_angle[np.asarray(mem, dtype=np.intp) - 1]
 
     def window_slice(i: int) -> range:
         lo = int(np.searchsorted(angles, angles[i] + WINDOW_LO, side="right"))
@@ -231,7 +224,6 @@ class SystemCluster:
     direction: str
     second_differential: int
     b_hats: tuple                 # sorted distinct b-residues (the systems)
-    arms: tuple
 
     @property
     def count(self) -> int:
@@ -262,17 +254,13 @@ class SystemReport:
 
 def classify_systems(arms, group: NumberGroup, max_n: int) -> SystemReport:
     """Group arms into systems keyed by (direction, a, b mod 2a)."""
-    buckets: dict[tuple, dict] = {}
+    buckets: dict[tuple, set] = {}
     for arm in arms:
         key = (arm.direction, arm.second_differential)
-        buckets.setdefault(key, {}).setdefault(arm.b_hat, []).append(arm)
-    clusters = []
-    for (direction, dd), by_bhat in sorted(buckets.items()):
-        cluster_arms = tuple(a for bh in sorted(by_bhat) for a in by_bhat[bh])
-        clusters.append(SystemCluster(direction=direction,
-                                      second_differential=dd,
-                                      b_hats=tuple(sorted(by_bhat)),
-                                      arms=cluster_arms))
+        buckets.setdefault(key, set()).add(arm.b_hat)
+    clusters = [SystemCluster(direction=direction, second_differential=dd,
+                              b_hats=tuple(sorted(b_hats)))
+                for (direction, dd), b_hats in sorted(buckets.items())]
     return SystemReport(group=group, max_n=max_n, arms=tuple(arms),
                         clusters=tuple(clusters))
 

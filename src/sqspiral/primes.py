@@ -128,11 +128,10 @@ class PrimeArm:
 def _trace_dense(table: SpiralTable, is_prime, seed, max_n, threshold):
     """Trace a quadratic through a prime seed, tolerating composite values as
     long as the running prime density stays at or above the threshold; the
-    arm ends on its last prime, which only raises its density."""
+    arm ends on its last prime, which only raises its density.  The seed's
+    two steps are window-valid: `window_seeds` yields no other seeds."""
     m1, m2, m3 = seed
     d2 = m1 - 2 * m2 + m3
-    if not (in_window(table, m1, m2) and in_window(table, m2, m3)):
-        return None
     mem = [m1, m2, m3]
     count = end = 3  # primes so far; length through the last prime
     while True:
@@ -158,8 +157,10 @@ def prime_arm_report(table: SpiralTable, max_n: int,
     Seeds are window-consistent prime triples with m1 <= max_n/4 and second
     differential 18; arms keep composite members only while their overall
     prime density stays >= the threshold.  Arms are ranked by density, then
-    canonical polynomial.
+    canonical polynomial.  Below 2 there are no primes and no arms.
     """
+    if max_n < 2:
+        return []
     pt = sieve(max_n)
     ps = [int(i) for i in np.flatnonzero(pt.bitmap)]
     found = {}

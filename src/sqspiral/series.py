@@ -35,9 +35,6 @@ class AnalysisSeries:
                 return v
         raise KeyError(f"{self.label}: no term with index {index}")
 
-    def last(self) -> tuple:
-        return self.terms[-1]
-
     def to_csv(self) -> str:
         lines = ["index,value"]
         lines += [f"{i},{v:.9f}" for i, v in self.terms]

@@ -9,7 +9,7 @@ from sqspiral.arms import (NumberGroup, b_hat_lattice_ok, direction_of,
                            trace_arm, verify_rule_5_2, report_csv, report_json,
                            window_seeds)
 from sqspiral.ratpoly import QuadraticPoly, second_differential
-from sqspiral.table import table_for, wrap_signed
+from sqspiral.table import TAU, table_for, wrap_signed
 from sqspiral.verify import _cached_arm_reports
 
 
@@ -68,10 +68,38 @@ def test_trace_rejections(table2000):
         _trace(table2000, "div:7", (14, 49, 105), 5000)
 
 
+def _drifts(table, mem):
+    return [wrap_signed(table.angle_of(b) - table.angle_of(a) - TAU)
+            for a, b in zip(mem, mem[1:])]
+
+
 def test_direction_examples(table2000):
-    assert direction_of(table2000, (1, 16, 49, 100, 169, 256)) == "P"
-    assert direction_of(table2000, (2, 26, 70, 134, 218)) == "N"
-    assert direction_of(table2000, (26, 39, 65, 104, 156)) == "P"
+    assert direction_of(_drifts(table2000, (1, 16, 49, 100, 169, 256))) == "P"
+    assert direction_of(_drifts(table2000, (2, 26, 70, 134, 218))) == "N"
+    assert direction_of(_drifts(table2000, (26, 39, 65, 104, 156))) == "P"
+    with pytest.raises(ValueError):
+        direction_of([])
+
+
+class _CountingTable:
+    """A table whose angle_of counts its calls."""
+
+    def __init__(self, table):
+        self.table, self.max_n, self.calls = table, table.max_n, 0
+
+    def angle_of(self, n):
+        self.calls += 1
+        return self.table.angle_of(n)
+
+
+def test_trace_reads_each_angle_once(table2000):
+    chain = (22, 77, 154, 253, 374, 517)
+    counting = _CountingTable(table2000)
+    arm = trace_arm(counting, set(members(parse_group("div:11"), 600)),
+                    chain[:3], 600)
+    assert arm.members == chain
+    assert arm == _trace(table2000, "div:11", chain[:3], 600)
+    assert counting.calls <= len(chain) + 3
 
 
 def test_drift_convergence_long_arm():

@@ -157,6 +157,13 @@ def test_non_positive_sizes_are_usage_errors(tmp_path, capsys, monkeypatch, argv
     assert err.count("\n") == 1
 
 
+def test_prime_report_below_two_is_empty(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "primes", "--report", "--n", "1")
+    assert (code, out, err) == (
+        EXIT_OK, "a,b_hat,c,len,prime_count,density,coprime6,members\n", "")
+
+
 def _corrupt_nan(data: bytes) -> bytes:
     angles = np.frombuffer(data[13:], dtype="<f8").copy()
     angles[5:] = np.nan

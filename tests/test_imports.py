@@ -1,7 +1,10 @@
-"""No module reaches into another sqspiral module's private names.
+"""No module reaches into another sqspiral module's private names, and no
+package module imports a name it does not use.
 
 Checked statically over the package and the scripts: `from <sqspiral module>
 import _x` and `<sqspiral module>._x` both fail.  Dunder names are public.
+The package's `__init__.py` imports to re-export, so it is exempt from the
+unused-import check.
 """
 import ast
 import pathlib
@@ -11,6 +14,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "sqspiral").glob("*.py")) + sorted(
     (ROOT / "scripts").glob("*.py"))
+MODULES = [p for p in SOURCES if p.parent.name == "sqspiral" and p.name != "__init__.py"]
 
 
 def _private(name: str) -> bool:
@@ -60,3 +64,29 @@ def test_checker_catches_private_access():
     assert private_imports("import sqspiral.verify\nsqspiral.verify._SUITE_FUNCS\n") == [
         "sqspiral.verify._SUITE_FUNCS"]
     assert private_imports("from . import __version__\nfrom .arms import members\n") == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names an import statement binds that the module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_catches_unused_import():
+    assert unused_imports("from .table import TAU, wrap_signed\nx = TAU\n") == [
+        "wrap_signed"]
+    assert unused_imports("import os.path\nimport numpy as np\n") == ["os", "np"]
+    assert unused_imports("from __future__ import annotations\n"
+                          "import numpy as np\n\ndef f(a: np.ndarray): pass\n") == []
