@@ -2,7 +2,8 @@
 
 The digests were taken before the arm engines, the angle summation and the
 nearest-ray search were consolidated (the two scan digests before the scan
-moved to integer arithmetic); refactors must leave these outputs
+moved to integer arithmetic, the two Fibonacci band digests before the band
+sums moved to the asymptotic expansion); refactors must leave these outputs
 byte-identical.  The one exception is the winding-distance digest, retaken
 when rows whose one-turn ray lies past the table end were dropped.  The `verify all` report digest lives in test_acceptance.py,
 next to the fixture that already runs every suite.
@@ -49,6 +50,10 @@ CLI_STDOUT = {
         "e1c15caff2b94add13d4c188870c6e3818674a0c069cded1e3e802a24665eba5",
     "primes --scan-d 17 --t 60 --c-min -3 --c-max 4":  # odd D: the other b parity
         "1049df1d6ebb0bd2602ee64e11ab645068d448cd6549e6a7e8c24a85a5ad8cfe",
+    "fib --areas --count 30":
+        "97a9f76104db9cf39a07f9cab449d7efa41b75ce39f6441045f586a6f4a8e277",
+    "fib --areas --count 40":  # bands up to F_42 ~ 4.3e8
+        "e632cc3138bf076bec3026779a9925232f1ca4158b3446b1d0a0536361e10b0d",
 }
 
 RENDER_SQUARES_300 = "f0cc2db36f4bf352072957cda81391cc96057547aee7f74bec2ea81d8a4c9227"
