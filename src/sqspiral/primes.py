@@ -55,11 +55,9 @@ def coprime6_check(poly: QuadraticPoly) -> bool:
     """
     if not poly.is_integer_valued():
         raise ValueError("coprime6_check needs an integer-valued polynomial")
-    for t in range(1, 13):
-        v = int(poly(t))
-        if v % 2 == 0 or v % 3 == 0:
-            return False
-    return True
+    a2, b2, c2 = (2 * q.numerator // q.denominator for q in (poly.a, poly.b, poly.c))
+    values = ((a2 * t * t + b2 * t + c2) // 2 for t in range(1, 13))
+    return all(v % 2 and v % 3 for v in values)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ TAU = 2.0 * math.pi
 CHUNK = 1 << 16
 
 DEFAULT_CAPACITY = 1 << 27  # table entries (~1 GiB of float64)
+TAIL_START = 1 << 20  # stream_cum_angles: indices past this from the expansion
 
 CACHE_MAGIC = b"SQSP"
 CACHE_VERSION = 1
@@ -174,27 +175,32 @@ def uncompensated_w(k: int) -> float:
 def stream_cum_angles(ks) -> dict[int, float]:
     """Cumulative angles w(k) at selected indices without storing a table.
 
-    Same block-compensated summation as build_table, but only the requested
-    entries are kept; this reaches indices far beyond any sensible table size
-    (angles at k ~ 4e8 in a few seconds, O(1) memory).
+    Blocks are walked only up to K0 = min(max(ks), 2**20), so each k <= K0
+    has the table's bits.  Beyond K0, w(k) = w(K0) + T(k) - T(K0) with
+    T(k) = 2 sqrt(k) + (7/6) k^-1/2 - (41/120) k^-3/2 + (167/840) k^-5/2, the
+    expansion of w less its constant c2; its truncation is below 1e-20, so
+    only float rounding (about 1e-16 relative) is left, at O(1) cost.
     """
     ks = sorted(set(int(k) for k in ks))
-    out: dict[int, float] = {}
-    if not ks:
-        return out
-    if ks[0] < 0:
+    if ks and ks[0] < 0:
         raise ValueError("indices must be >= 0")
-    if ks[0] == 0:
-        out[0] = 0.0
-        ks = ks[1:]
-    if not ks:
-        return out
+    k0 = min(ks[-1], TAIL_START) if ks else 0
+    want = sorted({k for k in ks if 0 < k < k0} | {k0})
+    w = {0: 0.0}
     pos = 0
-    for lo, hi, base, prefix in _blocks(ks[-1]):
-        while pos < len(ks) and ks[pos] < hi:
-            out[ks[pos]] = base + float(prefix[ks[pos] - lo])
+    for lo, hi, base, prefix in _blocks(k0):
+        while pos < len(want) and want[pos] < hi:
+            w[want[pos]] = base + float(prefix[want[pos] - lo])
             pos += 1
-    return out
+    r0 = math.sqrt(k0)
+    for k in ks:
+        if k > k0:
+            r = math.sqrt(k)
+            # 2 sqrt(k) - 2 sqrt(K0) as 2(k - K0)/(sqrt(k) + sqrt(K0)): no cancelling
+            w[k] = w[k0] + (2 * (k - k0) / (r + r0) + (7 / 6) * (1 / r - 1 / r0)
+                            - (41 / 120) * (r ** -3 - r0 ** -3)
+                            + (167 / 840) * (r ** -5 - r0 ** -5))
+    return {k: w[k] for k in ks}
 
 
 def save_table(table: SpiralTable, path: str) -> None:

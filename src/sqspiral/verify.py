@@ -21,16 +21,16 @@ from .constants import (archimedean_radius, c2_estimate, c2_extrapolate,
 from .ratpoly import QuadraticPoly, newton_quadratic
 from .arms import (b_hat_lattice_ok, classify_systems, enumerate_arms, in_window,
                    parse_group)
-from .series import (DEG, GOLDEN, axis_crossings, fib_angle_series,
-                     fib_angle_series_streaming, fib_area_ratio_series,
-                     same_arm_angle_series, square_angle_series,
-                     square_band_closed_form, square_band_ratio_series)
+from .series import (DEG, GOLDEN, axis_crossings, fib_angle_series_streaming,
+                     fib_area_ratio_series, same_arm_angle_series,
+                     square_angle_series, square_band_closed_form,
+                     square_band_ratio_series)
 from . import primes as pr
 
 SUITES = ("constants", "table1", "fig7", "fig15", "table2", "table3",
           "rule52", "fib", "fig16", "primes")
 
-#: Deep-ratio index for the Fibonacci constants (needs streamed angles).
+#: Deep-ratio index for the Fibonacci constants (F_42 ~ 4.3e8, past any table).
 FIB_DEEP_K = 40
 #: Enumeration bound for arm discovery suites.
 ARMS_MAX_N = 600
@@ -331,8 +331,7 @@ def suite_rule52() -> list[Check]:
 
 # --------------------------------------------------------------------------
 def suite_fib() -> list[Check]:
-    table = table_for(400)
-    fib = fib_angle_series(table, 11)
+    fib = fib_angle_series_streaming(FIB_DEEP_K + 1)
     out = []
     for k, printed in enumerate(pub.FIB_ALPHAS_DEG, 1):
         out.append(_chk(f"fib.alpha{k}", fib.alphas_deg.value(k), printed, 0.02,
@@ -343,9 +342,8 @@ def suite_fib() -> list[Check]:
         out.append(_flag(f"fib.step_ratio_in_bracket_k{k}", lo < r < hi,
                          _num(r), f"({lo}, {hi})",
                          "last ratios measurable on a ~300-ray drawing"))
-    deep = fib_angle_series_streaming(FIB_DEEP_K + 1)
     out.append(_chk(f"fib.step_ratio_k{FIB_DEEP_K}",
-                    deep.step_ratios.value(FIB_DEEP_K), math.sqrt(GOLDEN), 1e-6,
+                    fib.step_ratios.value(FIB_DEEP_K), math.sqrt(GOLDEN), 1e-6,
                     f"published conjecture {pub.SAW_CONJECTURE}"))
     areas = fib_area_ratio_series(FIB_DEEP_K)
     for k, printed in enumerate(pub.FIG14B_RATIOS, 1):

@@ -42,6 +42,16 @@ def test_coprime6_examples():
         coprime6_check(QuadraticPoly(Fr(1, 2), 0, 0))
 
 
+def test_coprime6_integer_values_match_fraction_evaluation():
+    # 2a and 2b share a parity exactly when a + b is an integer
+    for a2 in range(-3, 7):
+        for b2 in range(a2 % 2 - 8, 9, 2):
+            for c in range(-6, 7):
+                poly = QuadraticPoly(Fr(a2, 2), Fr(b2, 2), c)
+                values = [int(poly(t)) for t in range(1, 13)]
+                assert coprime6_check(poly) == all(v % 2 and v % 3 for v in values)
+
+
 def test_coprime6_matches_brute_force():
     rows = scan_prime_polys(18, range(-6, 8), 60)
     for row in rows:

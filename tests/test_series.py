@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from sqspiral.published import (FIG7_RATIOS, FIG14B_RATIOS, FIG15_CUM_ANGLES,
                                 FIG15_DIFFS, FIB_ALPHAS_DEG, SAW_BRACKET)
 from sqspiral.ratpoly import QuadraticPoly
-from sqspiral.series import (AnalysisSeries, axis_crossings, fib_angle_series,
-                             fib_area_ratio_series, fibonacci_numbers,
-                             same_arm_angle_series, square_angle_series,
+from sqspiral import table as table_mod
+from sqspiral.series import (GOLDEN, AnalysisSeries, axis_crossings, fib_angle_series,
+                             fib_angle_series_streaming, fib_area_ratio_series,
+                             fibonacci_numbers, same_arm_angle_series,
+                             sqrt_band_sum, square_angle_series,
                              square_band_closed_form, square_band_ratio_series,
                              triangle_area)
 
@@ -28,6 +31,18 @@ def test_band_ratios_match_published():
     assert series.claimed_limit == 1.0
     with pytest.raises(ValueError):
         square_band_ratio_series(1)
+
+
+def test_band_ratios_match_exact_sums():
+    # tight enough to fix the 9 printed decimals: a difference of running
+    # sums is off by up to 2e-12 at M = 1098
+    series = square_band_ratio_series(1100)
+
+    def band(m):
+        return math.fsum(math.sqrt(n) for n in range(m * m, (m + 1) ** 2))
+
+    for m in (2, 99, 100, 724, 1098):
+        assert series.value(m) == pytest.approx(band(m + 1) / band(m), abs=1e-14)
 
 
 def test_band_ratio_closed_form():
@@ -83,6 +98,33 @@ def test_fib_area_ratios_match_published():
         assert series.value(k) == pytest.approx(printed, abs=1e-5)
     with pytest.raises(ValueError):
         fib_area_ratio_series(1)
+
+
+@pytest.mark.parametrize("lo", [10**4, 10**6, 4 * 10**8])
+def test_sqrt_band_sum_matches_exact_sum(lo):
+    hi = lo + 10**5
+    exact = math.fsum(math.sqrt(n) for n in range(lo, hi))
+    assert abs(sqrt_band_sum(lo, hi) / exact - 1) <= 1e-14
+
+
+def test_fib_area_ratios_sum_only_short_bands(monkeypatch):
+    # bands from 10**4 up come from the expansion: no angle blocks, and only
+    # the short early bands take square roots term by term
+    blocks, roots = [], []
+    real_sqrt = np.sqrt
+    monkeypatch.setattr(table_mod, "_blocks",
+                        lambda top: blocks.append(top) or iter(()))
+    monkeypatch.setattr(np, "sqrt",
+                        lambda x: roots.append(np.size(x)) or real_sqrt(x))
+    series = fib_area_ratio_series(40)
+    assert blocks == [] and sum(roots) <= 2 * 10**4
+    assert series.value(40) == pytest.approx(GOLDEN * math.sqrt(GOLDEN), abs=1e-8)
+
+
+def test_fib_angle_step_ratio_far_beyond_any_table():
+    fib = fib_angle_series_streaming(100)  # reaches F_101 ~ 9.3e20
+    index, ratio = fib.step_ratios.terms[-1]
+    assert index == 99 and abs(ratio - math.sqrt(GOLDEN)) <= 1e-9
 
 
 def test_axis_crossings(table400):

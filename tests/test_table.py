@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sqspiral.table import (CHUNK, DEFAULT_CAPACITY, CapacityError, _blocks,
+from sqspiral import table as table_mod
+from sqspiral.table import (CHUNK, DEFAULT_CAPACITY, TAIL_START, CapacityError, _blocks,
                             build_table, load_table, save_table, segment_angle,
-                            stream_cum_angles, uncompensated_w, wrap_signed, TAU)
+                            stream_cum_angles, table_for, uncompensated_w,
+                            wrap_signed, TAU)
 
 
 def test_segment_angle_values():
@@ -139,6 +141,38 @@ def test_stream_matches_table(table100k):
     streamed = stream_cum_angles(ks)
     for k in ks:
         assert streamed[k] == table100k.w(k)
+
+
+@pytest.mark.parametrize("k", [TAIL_START + 1, 10**7, 433494436])
+def test_far_angle_differences_match_exact_sums(k):
+    # exact sums of 10**5 arctans; the expansion's k^-1/2 term moves these
+    # by up to 5e-5, its k^-3/2 term by up to 4e-11
+    span = 10**5
+    w = stream_cum_angles([k, k + span])
+    exact = math.fsum(math.atan(1.0 / math.sqrt(j)) for j in range(k + 1, k + span + 1))
+    assert abs((w[k + span] - w[k]) - exact) <= 1e-10
+
+
+def test_far_angle_matches_table():
+    # without the k^-3/2 term w(1e7) would be 3e-10 off
+    table = table_for(10**7)
+    w = stream_cum_angles([5, TAIL_START, 10**7])
+    assert w[5] == table.w(5) and w[TAIL_START] == table.w(TAIL_START)
+    assert abs(w[10**7] - table.w(10**7)) <= 1e-10
+
+
+def test_far_angles_walk_no_blocks_past_tail_start(monkeypatch):
+    walked = []
+
+    def counting_blocks(top):
+        for block in _blocks(top):
+            walked.append(block[0])
+            yield block
+
+    monkeypatch.setattr(table_mod, "_blocks", counting_blocks)
+    w = stream_cum_angles([433494436])
+    assert 0 < len(walked) <= TAIL_START // CHUNK + 1
+    assert w[433494436] == pytest.approx(41638.90066496, abs=1e-8)
 
 
 def test_cache_round_trip(tmp_path, table400):
