@@ -130,16 +130,19 @@ def direction_of(drifts) -> str:
     return "P" if med < 0 else "N"
 
 
-def trace_arm(table: SpiralTable, memberset, seed, max_n: int):
+def trace_arm(table: SpiralTable, memberset, seed, max_n: int,
+              density: float = 1.0):
     """Fit a quadratic through the seed triple and extend it forward.
 
-    The walk reads each member's angle once; its window-valid steps give the
-    arm's drifts and direction.  Returns the maximal Arm, or None (a
-    rejection, not an error) when the seed is not quadratic-extendable to
-    MIN_ARM_LEN members -- including a seed whose m2 or m3 is not a member,
-    is past max_n, or steps outside the window, which `window_seeds` never
-    yields -- or when it is not the first triple of its chain: each chain is
-    traced once, from the triple whose window-valid predecessor is missing.
+    A member is always stepped to; a non-member only while members /
+    (length + 1) stays >= `density` -- never at the exact arms' 1.0, at
+    `primes.PRIME_DENSITY` for prime arms -- and the arm ends on its last
+    member.  Each visited angle is read once; the window-valid steps give the
+    drifts and direction.  Returns None (a rejection, not an error) when the
+    seed does not extend to MIN_ARM_LEN members -- including an m2 or m3 that
+    is not a member, is past max_n or steps outside the window, which
+    `window_seeds` never yields -- or is not its chain's first triple: each
+    chain is traced once, from the triple with no window-valid member before.
     """
     m1, m2, m3 = seed
     if not (m1 < m2 < m3):
@@ -152,9 +155,13 @@ def trace_arm(table: SpiralTable, memberset, seed, max_n: int):
     prv = 2 * m1 - m2 + d2
     if 1 <= prv < m1 and prv in memberset and in_window(table, prv, m1):
         return None  # mid-chain seed: traced from the chain's first triple
-    mem, drifts = [m1], []
+    mem, drifts, misses = [m1], [], 0
     angle, nxt = table.angle_of(m1), m2
-    while nxt <= max_n and nxt in memberset:  # steps grow by d2 > 0
+    while nxt <= max_n:  # steps grow by d2 > 0
+        if nxt not in memberset:
+            if (len(mem) - misses) / (len(mem) + 1) < density:
+                break
+            misses += 1
         nxt_angle = table.angle_of(nxt)
         step = nxt_angle - angle
         if not WINDOW_LO < step < WINDOW_HI:
@@ -162,6 +169,9 @@ def trace_arm(table: SpiralTable, memberset, seed, max_n: int):
         mem.append(nxt)
         drifts.append(step - TAU)  # inside the window: already in (-pi, pi)
         angle, nxt = nxt_angle, 2 * nxt - mem[-2] + d2
+    while len(mem) >= MIN_ARM_LEN and mem[-1] not in memberset:
+        mem.pop()
+        drifts.pop()
     if len(mem) < MIN_ARM_LEN:
         return None
     canon, shift = newton_quadratic(m1, m2, m3).canonicalize()
@@ -169,11 +179,12 @@ def trace_arm(table: SpiralTable, memberset, seed, max_n: int):
                drifts=tuple(drifts), direction=direction_of(drifts))
 
 
-def window_seeds(table: SpiralTable, mem, seed_bound: int):
+def window_seeds(table: SpiralTable, mem, max_n: int):
     """Seed triples (m1, m2, m3) of the sorted members `mem`: convex
-    (m1 - 2*m2 + m3 > 0), each step inside the winding window, m1 <= seed_bound.
+    (m1 - 2*m2 + m3 > 0), each step inside the winding window, m1 <= max_n/4.
     """
     angles = table.cum_angle[np.asarray(mem, dtype=np.intp) - 1]
+    seed_bound = max_n // 4
 
     def window_slice(i: int) -> range:
         lo = int(np.searchsorted(angles, angles[i] + WINDOW_LO, side="right"))
@@ -192,29 +203,25 @@ def window_seeds(table: SpiralTable, mem, seed_bound: int):
                 yield m1, m2, m3
 
 
-def enumerate_arms(table: SpiralTable, group: NumberGroup, max_n: int,
-                   seed_bound: int | None = None) -> list[Arm]:
-    """All distinct arms reachable from window-consistent seed triples.
+def enumerate_arms(table: SpiralTable, group: NumberGroup, max_n: int) -> list[Arm]:
+    """All distinct exact arms reachable from window-consistent seed triples.
 
-    Seeds run over member triples with m1 <= seed_bound (default max_n/4);
-    each chain is traced once, forward from its first triple.  Arms
-    deduplicate on their canonical polynomial, and the output order is by
-    canonical (a, b, c), then start_t -- independent of search order.
+    Seeds run over member triples with m1 <= max_n/4; each chain is traced
+    once, forward from its first triple.  Arms deduplicate on their canonical
+    polynomial and are ordered by canonical (a, b, c) -- independent of
+    search order.
     """
     mem = members(group, max_n)
-    if seed_bound is None:
-        seed_bound = max_n // 4
     memberset = set(mem)
     found: dict[tuple, Arm] = {}
-    for seed in window_seeds(table, mem, seed_bound):
+    for seed in window_seeds(table, mem, max_n):
         arm = trace_arm(table, memberset, seed, max_n)
         if arm is None:
             continue
         key = (arm.poly.a, arm.poly.b, arm.poly.c)
         if key not in found:
             found[key] = arm
-    return sorted(found.values(),
-                  key=lambda a: (a.poly.a, a.poly.b, a.poly.c, a.start_t))
+    return [found[key] for key in sorted(found)]
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--group", required=True)
     p.add_argument("--n", type=positive_int, default=None)
     p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.add_argument("--seed-bound", type=positive_int, default=None)
 
     p = sub.add_parser("areas", help="area and angle series reports")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -139,8 +138,7 @@ def cmd_arms(args, cfg: Config) -> int:
     group = arms_mod.parse_group(args.group)
     max_n = args.n or cfg.max_n
     table = _table_for(cfg, max_n)
-    seed_bound = args.seed_bound or cfg.seed_bound(max_n)
-    found = arms_mod.enumerate_arms(table, group, max_n, seed_bound=seed_bound)
+    found = arms_mod.enumerate_arms(table, group, max_n)
     report = arms_mod.classify_systems(found, group, max_n)
     fmt = args.format or cfg.output
     _emit(arms_mod.report_json(report) if fmt == "json"
@@ -215,8 +213,7 @@ def cmd_primes(args, cfg: Config) -> int:
     else:
         max_n = args.n or cfg.max_n
         table = _table_for(cfg, max_n)
-        arms = primes_mod.prime_arm_report(
-            table, max_n, density_threshold=cfg.prime_density_threshold)
+        arms = primes_mod.prime_arm_report(table, max_n)
         lines = ["a,b_hat,c,len,prime_count,density,coprime6,members"]
         for a in arms:
             lines.append(f"{a.poly.a},{a.poly.b},{a.poly.c},{len(a.members)},"
@@ -239,8 +236,7 @@ def cmd_render(args, cfg: Config) -> int:
     overlays = []
     if args.arms:
         for gs in groups:
-            overlays.extend(arms_mod.enumerate_arms(
-                table, gs.group, max_n, seed_bound=cfg.seed_bound(max_n)))
+            overlays.extend(arms_mod.enumerate_arms(table, gs.group, max_n))
     spec_kwargs = dict(max_n=max_n, groups=groups, arm_overlays=tuple(overlays),
                        mirror=args.mirror or cfg.mirror)
     if style:

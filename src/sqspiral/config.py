@@ -13,30 +13,19 @@ class Config:
     cache_path: str | None = None
     max_n: int = 1000
     output: str = "csv"                  # csv | json
-    seed_bound_fraction: float = 0.25
-    prime_density_threshold: float = 0.6
     mirror: bool = False
 
     def __post_init__(self):
         if self.max_n <= 0:
             raise ValueError("max_n must be positive")
-        if not 0 < self.seed_bound_fraction <= 1:
-            raise ValueError("seed_bound_fraction must be in (0, 1]")
-        if not 0 < self.prime_density_threshold <= 1:
-            raise ValueError("prime_density_threshold must be in (0, 1]")
         if self.output not in ("csv", "json"):
             raise ValueError(f"output must be csv or json, not {self.output!r}")
-
-    def seed_bound(self, max_n: int) -> int:
-        return max(1, int(max_n * self.seed_bound_fraction))
 
 
 _PARSERS = {
     "cache_path": str,
     "max_n": int,
     "output": str,
-    "seed_bound_fraction": float,
-    "prime_density_threshold": float,
     "mirror": lambda v: v.lower() in ("1", "true", "yes"),
 }
 

@@ -1,9 +1,9 @@
 """Primes on the spiral: sieve, prime-rich quadratic scan, arm report.
 
-Primes cannot satisfy an exact quadratic recurrence, so prime "arms" are
-traced with a density criterion instead of exact membership; the classic
-prime-rich quadratics (second differential 18) avoid all values divisible
-by 2 or 3, which `coprime6_check` proves by exact residue evaluation.
+Primes cannot satisfy an exact quadratic recurrence, so `arms.trace_arm`
+walks prime "arms" over composites while the prime share stays >=
+PRIME_DENSITY; the classic prime-rich quadratics (second differential 18)
+avoid all values divisible by 2 or 3, as `coprime6_check` proves exactly.
 """
 from __future__ import annotations
 
@@ -14,10 +14,11 @@ from fractions import Fraction
 import numpy as np
 
 from .table import SpiralTable
-from .ratpoly import QuadraticPoly, newton_quadratic
-from .arms import MIN_ARM_LEN, in_window, window_seeds
+from .ratpoly import QuadraticPoly
+from .arms import NumberGroup, members, trace_arm, window_seeds
 
 SIEVE_CAPACITY = 1 << 28
+PRIME_DENSITY = 0.6           # least prime share of a prime arm
 
 
 @dataclass(frozen=True)
@@ -123,60 +124,28 @@ class PrimeArm:
         return int(2 * self.poly.a)
 
 
-def _trace_dense(table: SpiralTable, is_prime, seed, max_n, threshold):
-    """Trace a quadratic through a prime seed, tolerating composite values as
-    long as the running prime density stays at or above the threshold; the
-    arm ends on its last prime, which only raises its density.  The seed's
-    two steps are window-valid: `window_seeds` yields no other seeds."""
-    m1, m2, m3 = seed
-    d2 = m1 - 2 * m2 + m3
-    mem = [m1, m2, m3]
-    count = end = 3  # primes so far; length through the last prime
-    while True:
-        nxt = 2 * mem[-1] - mem[-2] + d2
-        if nxt > max_n or not in_window(table, mem[-1], nxt):
-            break
-        prime = is_prime(nxt)
-        if (count + prime) / (len(mem) + 1) < threshold:
-            break
-        mem.append(nxt)
-        if prime:
-            count += 1
-            end = len(mem)
-    if end < MIN_ARM_LEN:
-        return None
-    return tuple(mem[:end]), count
-
-
-def prime_arm_report(table: SpiralTable, max_n: int,
-                     density_threshold: float = 0.6) -> list[PrimeArm]:
-    """Prime-rich arms found by density-relaxed tracing.
-
-    Seeds are window-consistent prime triples with m1 <= max_n/4 and second
-    differential 18; arms keep composite members only while their overall
-    prime density stays >= the threshold.  Arms are ranked by density, then
-    canonical polynomial.  Below 2 there are no primes and no arms.
+def prime_arm_report(table: SpiralTable, max_n: int) -> list[PrimeArm]:
+    """Prime-rich arms: `trace_arm` at PRIME_DENSITY from each window-
+    consistent prime triple with m1 <= max_n/4 and second differential 18.
+    The longest arm per canonical polynomial is kept (the first on a tie);
+    arms rank by density, then polynomial.  No primes below 2, no arms.
     """
-    if max_n < 2:
-        return []
-    pt = sieve(max_n)
-    ps = [int(i) for i in np.flatnonzero(pt.bitmap)]
+    ps = members(NumberGroup("primes"), max_n)
+    primeset = set(ps)
     found = {}
-    for m1, m2, m3 in window_seeds(table, ps, max_n // 4):
+    for m1, m2, m3 in window_seeds(table, ps, max_n):
         if m1 - 2 * m2 + m3 != 18:
             continue
-        res = _trace_dense(table, pt.is_prime, (m1, m2, m3), max_n,
-                           density_threshold)
-        if res is None:
+        arm = trace_arm(table, primeset, (m1, m2, m3), max_n, PRIME_DENSITY)
+        if arm is None:
             continue
-        mem, count = res
-        canon, _ = newton_quadratic(m1, m2, m3).canonicalize()
-        key = (canon.a, canon.b, canon.c)
-        if key not in found or len(mem) > len(found[key].members):
+        key = (arm.poly.a, arm.poly.b, arm.poly.c)
+        if key not in found or len(arm.members) > len(found[key].members):
+            count = sum(m in primeset for m in arm.members)
             found[key] = PrimeArm(
-                members=mem, poly=canon, prime_count=count,
-                density=count / len(mem),
-                coprime6=coprime6_check(canon))
+                members=arm.members, poly=arm.poly, prime_count=count,
+                density=count / len(arm.members),
+                coprime6=coprime6_check(arm.poly))
     return sorted(found.values(),
                   key=lambda r: (-r.density, r.poly.a, r.poly.b, r.poly.c))
 

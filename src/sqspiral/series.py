@@ -181,12 +181,18 @@ def fib_area_ratio_series(count: int) -> AnalysisSeries:
 
     B_k sums triangle areas for indices F_k .. F_{k+1}-1 with sqrt_band_sum:
     term by term while F_k < 10**4, from the expansion after, so the cost is
-    O(count).  The ratio tends to golden^(3/2) = 2.058171...
+    O(count).  The ratio tends to golden^(3/2) = 2.058171...  A count whose
+    last band sum is not a finite float (from 984 on) is a ValueError.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
     fibs = fibonacci_numbers(count + 2)
-    bands = [0.5 * sqrt_band_sum(fibs[k], fibs[k + 1]) for k in range(count + 1)]
+    try:
+        bands = [0.5 * sqrt_band_sum(fibs[k], fibs[k + 1]) for k in range(count + 1)]
+    except OverflowError:  # a band end past the float range
+        bands = [math.inf]
+    if not math.isfinite(bands[-1]):
+        raise ValueError(f"count {count}: Fibonacci band sums past the float range")
     terms = tuple((k + 1, bands[k + 1] / bands[k]) for k in range(count))
     return AnalysisSeries("fib_area_ratio", terms,
                           claimed_limit=GOLDEN * math.sqrt(GOLDEN),

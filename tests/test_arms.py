@@ -8,6 +8,7 @@ from sqspiral.arms import (NumberGroup, b_hat_lattice_ok, direction_of,
                            enumerate_arms, in_window, members, parse_group,
                            trace_arm, verify_rule_5_2, report_csv, report_json,
                            window_seeds)
+from sqspiral.primes import PRIME_DENSITY
 from sqspiral.ratpoly import QuadraticPoly, second_differential
 from sqspiral.table import TAU, table_for, wrap_signed
 from sqspiral.verify import _cached_arm_reports
@@ -100,6 +101,14 @@ def test_trace_reads_each_angle_once(table2000):
     assert arm.members == chain
     assert arm == _trace(table2000, "div:11", chain[:3], 600)
     assert counting.calls <= len(chain) + 3
+    # a prime arm stepping over five composites (171, 501, 993, 1411, 1647)
+    prime_arm = (3, 41, 97, 171, 263, 373, 501, 647, 811, 993, 1193, 1411,
+                 1647, 1901)
+    counting = _CountingTable(table2000)
+    arm = trace_arm(counting, set(members(parse_group("primes"), 2000)),
+                    prime_arm[:3], 2000, PRIME_DENSITY)
+    assert arm.members == prime_arm
+    assert counting.calls <= len(prime_arm) + 3
 
 
 def test_drift_convergence_long_arm():
@@ -226,7 +235,7 @@ def test_each_chain_traced_once(table400, spec):
     group = parse_group(spec)
     mem = members(group, 300)
     memberset = set(mem)
-    traced = [arm.members for seed in window_seeds(table400, mem, 75)
+    traced = [arm.members for seed in window_seeds(table400, mem, 300)
               if (arm := trace_arm(table400, memberset, seed, 300)) is not None]
     assert len(set(traced)) == len(traced)
     assert len(traced) == len(_brute_force_arms(table400, group, 300))
@@ -240,4 +249,4 @@ def test_window_seeds_match_brute_force(table400, spec):
     expected = [(m1, m2, m3) for m1, m2, m3 in itertools.combinations(mem, 3)
                 if m1 <= 75 and m1 - 2 * m2 + m3 > 0
                 and in_window(table400, m1, m2) and in_window(table400, m2, m3)]
-    assert list(window_seeds(table400, mem, 75)) == expected
+    assert list(window_seeds(table400, mem, 300)) == expected

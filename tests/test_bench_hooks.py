@@ -2,11 +2,17 @@
 
 `bench/tracer.py` replaces functions by name; a renamed or deleted one makes
 the traced benchmark run crash instead of report.  The tracer is parsed, not
-imported, so this check needs nothing from the benchmark at run time.
+imported, so this check needs nothing from the benchmark at run time.  One
+test runs a traced benchmark pass in a subprocess and reads its result line.
 """
 import ast
 import importlib
+import json
+import math
 import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -60,3 +66,28 @@ def test_hook_exists(hook):
     for attr in path:
         assert hasattr(obj, attr), f"{hook}: sqspiral has no {attr!r} here"
         obj = getattr(obj, attr)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_traced_cli_session_ends_in_a_result_line(tmp_path):
+    """A traced `cli_session` run prints one JSON result line last: correct,
+    and every per-layer value a finite float or a signed 64-bit int."""
+    workload = TRACER.parent / "workload.py"
+    proc = subprocess.run(
+        [sys.executable, str(workload), "--workload", "cli_session", "--seed", "1",
+         "--spawned-at", str(time.monotonic()),
+         "--trace-out", str(tmp_path / "spans.json")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject_constant)
+    assert result["correct"], proc.stderr
+    assert result["layers"]
+    for name, metric in result["layers"].items():
+        value = metric["value"]
+        if isinstance(value, float):
+            assert math.isfinite(value), name
+        else:
+            assert type(value) is int and -2**63 <= value < 2**63, name

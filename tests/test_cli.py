@@ -149,6 +149,8 @@ def test_config_file_and_env_cache(tmp_path, capsys, monkeypatch):
     ["primes", "--scan-d", "0"],
     ["primes", "--scan-d", "18", "--c-min", "5", "--c-max", "1"],  # empty c range
     ["primes", "--scan-d", "18", "--t", "10000"],  # sieve over its budget
+    ["fib", "--areas", "--count", "984"],  # last band sum is inf
+    ["fib", "--areas", "--count", "1479"],  # a band end is past the float range
 ])
 def test_non_positive_sizes_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

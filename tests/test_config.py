@@ -1,19 +1,22 @@
+import pathlib
+import re
+
 import pytest
 
-from sqspiral.config import Config, load_config, parse_config
+from sqspiral.config import _PARSERS, Config, load_config, parse_config
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_defaults():
     cfg = Config()
     assert cfg.max_n == 1000 and cfg.output == "csv" and not cfg.mirror
-    assert cfg.seed_bound(600) == 150
 
 
 def test_parse_overrides():
     cfg = parse_config("max_n = 250\noutput=json\nmirror=true\n"
-                       "seed_bound_fraction=0.5\n# comment\n\n")
+                       "# comment\n\n")
     assert cfg.max_n == 250 and cfg.output == "json" and cfg.mirror
-    assert cfg.seed_bound(100) == 50
 
 
 def test_unknown_key_rejected():
@@ -41,3 +44,10 @@ def test_load_config_env_and_file(tmp_path, monkeypatch):
     assert cfg.cache_path == "/tmp/env.bin"   # env overrides the file
     cfg = load_config(str(tmp_path / "missing.conf"), env={})
     assert cfg == Config()
+
+
+def test_readme_lists_the_config_keys():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = re.search(r"spiral\.conf` \(`key = value`; keys ([^)]*)\)", text)
+    assert listed, "README no longer lists the spiral.conf keys"
+    assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(_PARSERS)

@@ -1,11 +1,15 @@
 import math
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
+from sqspiral import primes
+from sqspiral.arms import MIN_ARM_LEN, in_window, window_seeds
 from sqspiral.primes import (coprime6_check, pnt_baseline, prime_arm_report,
                              scan_prime_polys, scan_csv, sieve)
-from sqspiral.ratpoly import QuadraticPoly
+from sqspiral.ratpoly import QuadraticPoly, newton_quadratic
+from sqspiral.table import table_for
 
 
 def trial_division(n: int) -> bool:
@@ -114,6 +118,46 @@ def test_prime_arm_report(table2000):
         assert all(m % 2 and m % 3 for m in arm.members)
     baseline = 3 * pnt_baseline(18, 15)
     assert all(a.density > baseline for a in arms)
+
+
+def _prime_arms_oracle(table, max_n, density):
+    """The earlier prime walk: every D = 18 window seed, no mid-chain
+    rejection, `in_window` at each step, and per canonical polynomial the
+    longest arm (the first found on a tie)."""
+    bitmap = sieve(max_n).bitmap
+    found = {}
+    for m1, m2, m3 in window_seeds(table, [int(i) for i in np.flatnonzero(bitmap)],
+                                   max_n):
+        if m1 - 2 * m2 + m3 != 18:
+            continue
+        mem, count, end = [m1, m2, m3], 3, 3
+        while True:
+            nxt = 2 * mem[-1] - mem[-2] + 18
+            if nxt > max_n or not in_window(table, mem[-1], nxt):
+                break
+            prime = bool(bitmap[nxt])
+            if (count + prime) / (len(mem) + 1) < density:
+                break
+            mem.append(nxt)
+            if prime:
+                count, end = count + 1, len(mem)
+        poly, _ = newton_quadratic(m1, m2, m3).canonicalize()
+        key = (poly.a, poly.b, poly.c)
+        if end >= MIN_ARM_LEN and (key not in found or end > len(found[key][0])):
+            found[key] = (tuple(mem[:end]), poly, count, count / end,
+                          coprime6_check(poly))
+    return sorted(found.values(),
+                  key=lambda r: (-r[3], r[1].a, r[1].b, r[1].c))
+
+
+@pytest.mark.parametrize("density", [0.3, 0.6, 1.0])
+@pytest.mark.parametrize("max_n", [300, 2000, 5000])
+def test_prime_arm_report_matches_old_walk(monkeypatch, max_n, density):
+    table = table_for(5000)
+    monkeypatch.setattr(primes, "PRIME_DENSITY", density)
+    got = [(a.members, a.poly, a.prime_count, a.density, a.coprime6)
+           for a in prime_arm_report(table, max_n)]
+    assert got == _prime_arms_oracle(table, max_n, density)
 
 
 def test_scan_csv_shape():

@@ -121,6 +121,14 @@ def test_fib_area_ratios_sum_only_short_bands(monkeypatch):
     assert series.value(40) == pytest.approx(GOLDEN * math.sqrt(GOLDEN), abs=1e-8)
 
 
+def test_fib_area_ratios_end_at_the_last_finite_count():
+    series = fib_area_ratio_series(983)
+    assert all(math.isfinite(v) for _, v in series.terms)
+    assert abs(series.value(983) - GOLDEN ** 1.5) <= 1e-9
+    with pytest.raises(ValueError, match="float range"):
+        fib_area_ratio_series(984)
+
+
 def test_fib_angle_step_ratio_far_beyond_any_table():
     fib = fib_angle_series_streaming(100)  # reaches F_101 ~ 9.3e20
     index, ratio = fib.step_ratios.terms[-1]
