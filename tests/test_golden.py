@@ -3,7 +3,8 @@
 The digests were taken before the arm engines, the angle summation and the
 nearest-ray search were consolidated (the two scan digests before the scan
 moved to integer arithmetic, the two Fibonacci band digests before the band
-sums moved to the asymptotic expansion); refactors must leave these outputs
+sums moved to the asymptotic expansion, the two `arms` digests before the
+arm walk was batched); refactors must leave these outputs
 byte-identical.  The one exception is the winding-distance digest, retaken
 when rows whose one-turn ray lies past the table end were dropped.  The `verify all` report digest lives in test_acceptance.py,
 next to the fixture that already runs every suite.
@@ -54,6 +55,11 @@ CLI_STDOUT = {
         "97a9f76104db9cf39a07f9cab449d7efa41b75ce39f6441045f586a6f4a8e277",
     "fib --areas --count 40":  # bands up to F_42 ~ 4.3e8
         "e632cc3138bf076bec3026779a9925232f1ca4158b3446b1d0a0536361e10b0d",
+    # two prime chains share one canonical key; the first in seed order is kept
+    "arms --group primes --n 2000 --format csv":
+        "5dc34de9e39802c4db10a85468773ccac5b6ed7d2e66323c68413af4852c95f0",
+    "arms --group div:7 --n 4000 --format json":
+        "f0c416a8eb7c6522f1885e2a4a9362198c065129b3fbaa6030c67b3814a01418",
 }
 
 RENDER_SQUARES_300 = "f0cc2db36f4bf352072957cda81391cc96057547aee7f74bec2ea81d8a4c9227"
