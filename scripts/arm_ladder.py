@@ -1,0 +1,47 @@
+#!/usr/bin/env python3
+"""Time `enumerate_arms` on a ladder of groups and sizes; one JSON row each.
+
+The ladder is div:7 at n = 2000, 4000 and 8000, div:2 at n = 600 and 1200,
+and div:3 at n = 2000.  Each row gives the arm count and the median of
+--repeat timed calls; the angle table is built before the clock starts.
+Run it with the package importable, for example
+
+    PYTHONPATH=src python3 scripts/arm_ladder.py --repeat 3
+
+and compare two commits by running it on each in turn, alternating.
+"""
+import argparse
+import json
+import statistics
+import sys
+import time
+
+from sqspiral.arms import enumerate_arms, parse_group
+from sqspiral.table import table_for
+
+LADDER = (("div:7", 2000), ("div:7", 4000), ("div:7", 8000),
+          ("div:2", 600), ("div:2", 1200), ("div:3", 2000))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=3,
+                        help="timed calls per row (default 3)")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
+    for spec, n in LADDER:
+        table, group = table_for(n), parse_group(spec)
+        times = []
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            arms = enumerate_arms(table, group, n)
+            times.append(time.perf_counter() - t0)
+        print(json.dumps({"group": spec, "n": n, "arms": len(arms),
+                          "enumerate_s": round(statistics.median(times), 4),
+                          "calls": args.repeat}), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .table import TAU, SpiralTable
-from .ratpoly import QuadraticPoly, newton_quadratic
+from .ratpoly import QuadraticPoly
 
 WINDOW_LO = math.pi        # winding window: advance in (2*pi - pi, 2*pi + pi)
 WINDOW_HI = 3.0 * math.pi
@@ -99,7 +98,7 @@ class Arm:
 
     @property
     def second_differential(self) -> int:
-        return int(2 * self.poly.a)
+        return 2 * self.poly.a.numerator // self.poly.a.denominator  # a = D/2
 
     @property
     def b_hat(self) -> Fraction:
@@ -132,96 +131,128 @@ def direction_of(drifts) -> str:
 
 def trace_arm(table: SpiralTable, memberset, seed, max_n: int,
               density: float = 1.0):
-    """Fit a quadratic through the seed triple and extend it forward.
-
-    A member is always stepped to; a non-member only while members /
-    (length + 1) stays >= `density` -- never at the exact arms' 1.0, at
-    `primes.PRIME_DENSITY` for prime arms -- and the arm ends on its last
-    member.  Each visited angle is read once; the window-valid steps give the
-    drifts and direction.  Returns None (a rejection, not an error) when the
-    seed does not extend to MIN_ARM_LEN members -- including an m2 or m3 that
-    is not a member, is past max_n or steps outside the window, which
-    `window_seeds` never yields -- or is not its chain's first triple: each
-    chain is traced once, from the triple with no window-valid member before.
-    """
+    """One seed through the engine of `traced_arms`, each visited angle read once by
+    `table.angle_of`; None (a rejection) if mid-chain or shorter than MIN_ARM_LEN."""
     m1, m2, m3 = seed
     if not (m1 < m2 < m3):
         raise ValueError("seed must be strictly increasing")
     if max_n > table.max_n:
         raise ValueError(f"table covers only {table.max_n} < max_n={max_n}")
-    d2 = m1 - 2 * m2 + m3
-    if d2 <= 0:
-        return None  # not convex: no genuine arm polynomial (a > 0 required)
-    prv = 2 * m1 - m2 + d2
-    if 1 <= prv < m1 and prv in memberset and in_window(table, prv, m1):
-        return None  # mid-chain seed: traced from the chain's first triple
-    mem, drifts, misses = [m1], [], 0
-    angle, nxt = table.angle_of(m1), m2
-    while nxt <= max_n:  # steps grow by d2 > 0
-        if nxt not in memberset:
-            if (len(mem) - misses) / (len(mem) + 1) < density:
-                break
-            misses += 1
-        nxt_angle = table.angle_of(nxt)
-        step = nxt_angle - angle
-        if not WINDOW_LO < step < WINDOW_HI:
-            break
-        mem.append(nxt)
-        drifts.append(step - TAU)  # inside the window: already in (-pi, pi)
-        angle, nxt = nxt_angle, 2 * nxt - mem[-2] + d2
-    while len(mem) >= MIN_ARM_LEN and mem[-1] not in memberset:
-        mem.pop()
-        drifts.pop()
-    if len(mem) < MIN_ARM_LEN:
-        return None
-    canon, shift = newton_quadratic(m1, m2, m3).canonicalize()
-    return Arm(members=tuple(mem), poly=canon, start_t=1 - shift,
-               drifts=tuple(drifts), direction=direction_of(drifts))
+    arms = _trace(lambda ns: np.array([table.angle_of(n) for n in ns.tolist()]),
+                  np.isin(np.arange(max(max_n, m1) + 1), list(memberset)),
+                  np.array([[m1], [m2], [m3]], dtype=np.int64), max_n, density)
+    return arms[0] if arms else None
+
+
+def _ranges(start, stop):
+    """(i, value) for every value of range(start[i], stop[i]), in order."""
+    count = np.maximum(stop - start, 0)
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) - (np.cumsum(count) - count)[owner] + start[owner]
+
+
+def _seed_arrays(table: SpiralTable, mem, max_n: int):
+    """`window_seeds` as an int64 array of shape (3, seeds)."""
+    if max_n > table.max_n:
+        raise ValueError(f"table covers only {table.max_n} < max_n={max_n}")
+    mem = np.asarray(mem, dtype=np.int64)
+    angles = table.cum_angle[mem - 1]
+    lo = np.searchsorted(angles, angles + WINDOW_LO, side="right")
+    hi = np.searchsorted(angles, angles + WINDOW_HI, side="left")
+    n1 = np.searchsorted(mem, max_n // 4, side="right")
+    i, j = _ranges(lo[:n1], hi[:n1])
+    # mem is sorted, so the convex m3 > 2*m2 - m1 are a suffix of j's window
+    first = np.clip(np.searchsorted(mem, 2 * mem[j] - mem[i], side="right"),
+                    lo[j], hi[j])
+    pair, k = _ranges(first, hi[j])
+    return np.stack([mem[i[pair]], mem[j[pair]], mem[k]])
 
 
 def window_seeds(table: SpiralTable, mem, max_n: int):
-    """Seed triples (m1, m2, m3) of the sorted members `mem`: convex
-    (m1 - 2*m2 + m3 > 0), each step inside the winding window, m1 <= max_n/4.
+    """Seed triples (m1, m2, m3) of the sorted members `mem`, in lexicographic order:
+    convex (m1 - 2*m2 + m3 > 0), each step inside the winding window, m1 <= max_n/4."""
+    return zip(*_seed_arrays(table, mem, max_n).tolist())
+
+
+def _trace(angle_at, bitmap, seeds, max_n: int, density: float,
+           longest: bool = False) -> list[Arm]:
+    """Walk all seeds at once, column by column over the live ones.
+
+    Mid-chain seeds (a window-valid member before m1) are dropped, so each
+    chain is walked once.  The walk steps to 2*cur - prev + D: to a member
+    always, to a non-member while members / (length + 1) >= `density`, only
+    inside the winding window; arms end on their last member.  One arm per
+    canonical (D, 2b, 2c), D = 2a, in that order: the first in seed order,
+    or with `longest` the longest, the first on a tie.
     """
-    angles = table.cum_angle[np.asarray(mem, dtype=np.intp) - 1]
-    seed_bound = max_n // 4
+    m1, m2, m3 = seeds
+    d1, dd = m2 - m1, m1 - 2 * m2 + m3
+    prv = m1 - d1 + dd                     # the polynomial's value at t = 0
+    mid = np.flatnonzero((dd > 0) & (prv >= 1) & (prv < m1) & bitmap[np.clip(prv, 0, m1)])
+    adv = angle_at(m1[mid]) - angle_at(prv[mid])
+    live = dd > 0
+    live[mid[(WINDOW_LO < adv) & (adv < WINDOW_HI)]] = False
+    sid = np.flatnonzero(live)
+    cur, gap, angle = m1[sid], d1[sid], angle_at(m1[sid])
+    hits, length, columns = np.ones(len(sid), dtype=np.int64), live.astype(np.int64), []
+    while len(sid):                        # a live arm has len(columns) + 1 rays
+        nxt = cur + gap
+        inside = nxt <= max_n
+        member = inside & bitmap[np.minimum(nxt, max_n)]
+        go = np.flatnonzero(inside & (member | (hits / (len(columns) + 2) >= density)))
+        nxt_angle = angle_at(nxt[go])
+        step = nxt_angle - angle[go]
+        win = (WINDOW_LO < step) & (step < WINDOW_HI)
+        go = go[win]
+        sid, cur, angle, member = sid[go], nxt[go], nxt_angle[win], member[go]
+        columns.append((sid, cur, step[win]))
+        length[sid[member]] = len(columns) + 1
+        gap, hits = gap[go] + dd[sid], hits[go] + member
+    kept = np.flatnonzero(length >= MIN_ARM_LEN)
+    m1, d1, dd, prv = (x[kept] for x in (m1, d1, dd, prv))
+    b2 = 2 * d1 - 3 * dd                   # newton_quadratic's 2b
+    shift = -(b2 // (2 * dd))              # QuadraticPoly.canonicalize's s
+    key = np.stack([dd, b2 + 2 * dd * shift, 2 * prv + dd * shift * shift + b2 * shift])
+    order = np.lexsort(((-length[kept],) if longest else ()) + tuple(key[::-1]))
+    key = key[:, order]                    # lexsort is stable: seed order on ties
+    first = np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)][:len(order)]
+    (dd, b2, c2), pick = key[:, first], order[first]
+    kept, shift, size = kept[pick], shift[pick], length[kept[pick]]
+    start = np.cumsum(size) - size
+    at, span = np.zeros((2, len(length)), dtype=np.int64)   # per seed
+    at[kept], span[kept] = start, size
+    mem, drift = np.empty(size.sum(), dtype=np.int64), np.empty(size.sum())
+    mem[start] = m1[pick]
+    for col, (sid, ray, step) in enumerate(columns, 1):
+        use = col < span[sid]
+        mem[at[sid[use]] + col], drift[at[sid[use]] + col] = ray[use], step[use] - TAU
+    mem, drift = mem.tolist(), drift.tolist()
+    half = {x: Fraction(x, 2) for x in set(dd.tolist()) | set(b2.tolist())}
+    out = []
+    for lo, n, d, b, c, s in zip(start.tolist(), size.tolist(), dd.tolist(),
+                                 b2.tolist(), c2.tolist(), shift.tolist()):
+        drifts = tuple(drift[lo + 1:lo + n])   # steps in the window: in (-pi, pi)
+        out.append(Arm(members=tuple(mem[lo:lo + n]), start_t=1 - s,
+                       poly=QuadraticPoly(half[d], half[b], Fraction(c, 2)),
+                       drifts=drifts, direction=direction_of(drifts)))
+    return out
 
-    def window_slice(i: int) -> range:
-        lo = int(np.searchsorted(angles, angles[i] + WINDOW_LO, side="right"))
-        hi = int(np.searchsorted(angles, angles[i] + WINDOW_HI, side="left"))
-        return range(lo, hi)
 
-    for i, m1 in enumerate(mem):
-        if m1 > seed_bound:
-            return
-        for j in window_slice(i):
-            m2 = mem[j]
-            ks = window_slice(j)
-            # mem is sorted, so the convex m3 > 2*m2 - m1 are a suffix of ks
-            first = bisect_right(mem, 2 * m2 - m1, ks.start, ks.stop)
-            for m3 in mem[first:ks.stop]:
-                yield m1, m2, m3
+def traced_arms(table: SpiralTable, mem, max_n: int, density: float = 1.0,
+                second_differential=None, longest: bool = False) -> list[Arm]:
+    """Arms traced at `density` from `window_seeds(table, mem, max_n)` (of
+    one second differential, when given), as `_trace` dedupes and orders them."""
+    seeds = _seed_arrays(table, mem, max_n)
+    if second_differential is not None:
+        seeds = seeds[:, seeds[0] - 2 * seeds[1] + seeds[2] == second_differential]
+    return _trace(lambda ns: table.cum_angle[ns - 1], np.isin(np.arange(max_n + 1), mem),
+                  seeds, max_n, density, longest)
 
 
 def enumerate_arms(table: SpiralTable, group: NumberGroup, max_n: int) -> list[Arm]:
-    """All distinct exact arms reachable from window-consistent seed triples.
-
-    Seeds run over member triples with m1 <= max_n/4; each chain is traced
-    once, forward from its first triple.  Arms deduplicate on their canonical
-    polynomial and are ordered by canonical (a, b, c) -- independent of
-    search order.
-    """
-    mem = members(group, max_n)
-    memberset = set(mem)
-    found: dict[tuple, Arm] = {}
-    for seed in window_seeds(table, mem, max_n):
-        arm = trace_arm(table, memberset, seed, max_n)
-        if arm is None:
-            continue
-        key = (arm.poly.a, arm.poly.b, arm.poly.c)
-        if key not in found:
-            found[key] = arm
-    return [found[key] for key in sorted(found)]
+    """All distinct exact arms reachable from window seeds, in canonical
+    (a, b, c) order; a shared polynomial keeps the first in seed order."""
+    return traced_arms(table, members(group, max_n), max_n)
 
 
 @dataclass(frozen=True)
@@ -262,12 +293,13 @@ class SystemReport:
 def classify_systems(arms, group: NumberGroup, max_n: int) -> SystemReport:
     """Group arms into systems keyed by (direction, a, b mod 2a)."""
     buckets: dict[tuple, set] = {}
-    for arm in arms:
+    for arm in arms:  # canonical b is a half-integer: bucket on 2b, an int
         key = (arm.direction, arm.second_differential)
-        buckets.setdefault(key, set()).add(arm.b_hat)
+        b = arm.poly.b
+        buckets.setdefault(key, set()).add(2 * b.numerator // b.denominator)
     clusters = [SystemCluster(direction=direction, second_differential=dd,
-                              b_hats=tuple(sorted(b_hats)))
-                for (direction, dd), b_hats in sorted(buckets.items())]
+                              b_hats=tuple(Fraction(b2, 2) for b2 in sorted(b2s)))
+                for (direction, dd), b2s in sorted(buckets.items())]
     return SystemReport(group=group, max_n=max_n, arms=tuple(arms),
                         clusters=tuple(clusters))
 

@@ -248,15 +248,8 @@ def cmd_render(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "build": cmd_build,
-    "verify": cmd_verify,
-    "arms": cmd_arms,
-    "areas": cmd_areas,
-    "fib": cmd_fib,
-    "primes": cmd_primes,
-    "render": cmd_render,
-}
+_COMMANDS = {name: globals()[f"cmd_{name}"]
+             for name in ("build", "verify", "arms", "areas", "fib", "primes", "render")}
 
 
 def main(argv=None) -> int:

@@ -30,20 +30,27 @@ _PARSERS = {
 }
 
 
-def parse_config(text: str, base: Config | None = None) -> Config:
-    """Parse key=value lines; unknown keys are rejected."""
+def parse_key_values(text: str, known, label: str) -> dict[str, str]:
+    """key=value lines, skipping blank and '#' lines; a line without '=' or
+    with a key not in `known` is a ValueError naming `label` and the line."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line.startswith("#"):  # values may contain '#' (colors)
             continue
         if "=" not in line:
-            raise ValueError(f"{CONF_NAME} line {lineno}: expected key=value, got {raw!r}")
+            raise ValueError(f"{label} line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _PARSERS:
-            raise ValueError(f"{CONF_NAME} line {lineno}: unknown key {key!r}")
-        values[key] = _PARSERS[key](value)
-    return replace(base or Config(), **values)
+        if key not in known:
+            raise ValueError(f"{label} line {lineno}: unknown key {key!r}")
+        values[key] = value
+    return values
+
+
+def parse_config(text: str, base: Config | None = None) -> Config:
+    """Parse key=value lines; unknown keys are rejected."""
+    values = parse_key_values(text, _PARSERS, CONF_NAME)
+    return replace(base or Config(), **{k: _PARSERS[k](v) for k, v in values.items()})
 
 
 def load_config(path: str | None = None, env=None) -> Config:

@@ -1,6 +1,6 @@
 """Primes on the spiral: sieve, prime-rich quadratic scan, arm report.
 
-Primes cannot satisfy an exact quadratic recurrence, so `arms.trace_arm`
+Primes cannot satisfy an exact quadratic recurrence, so `arms.traced_arms`
 walks prime "arms" over composites while the prime share stays >=
 PRIME_DENSITY; the classic prime-rich quadratics (second differential 18)
 avoid all values divisible by 2 or 3, as `coprime6_check` proves exactly.
@@ -15,7 +15,7 @@ import numpy as np
 
 from .table import SpiralTable
 from .ratpoly import QuadraticPoly
-from .arms import NumberGroup, members, trace_arm, window_seeds
+from .arms import NumberGroup, members, traced_arms
 
 SIEVE_CAPACITY = 1 << 28
 PRIME_DENSITY = 0.6           # least prime share of a prime arm
@@ -125,29 +125,21 @@ class PrimeArm:
 
 
 def prime_arm_report(table: SpiralTable, max_n: int) -> list[PrimeArm]:
-    """Prime-rich arms: `trace_arm` at PRIME_DENSITY from each window-
-    consistent prime triple with m1 <= max_n/4 and second differential 18.
+    """Prime-rich arms: `traced_arms` at PRIME_DENSITY from the window-
+    consistent prime triples with m1 <= max_n/4 and second differential 18.
     The longest arm per canonical polynomial is kept (the first on a tie);
     arms rank by density, then polynomial.  No primes below 2, no arms.
     """
     ps = members(NumberGroup("primes"), max_n)
     primeset = set(ps)
-    found = {}
-    for m1, m2, m3 in window_seeds(table, ps, max_n):
-        if m1 - 2 * m2 + m3 != 18:
-            continue
-        arm = trace_arm(table, primeset, (m1, m2, m3), max_n, PRIME_DENSITY)
-        if arm is None:
-            continue
-        key = (arm.poly.a, arm.poly.b, arm.poly.c)
-        if key not in found or len(arm.members) > len(found[key].members):
-            count = sum(m in primeset for m in arm.members)
-            found[key] = PrimeArm(
-                members=arm.members, poly=arm.poly, prime_count=count,
-                density=count / len(arm.members),
-                coprime6=coprime6_check(arm.poly))
-    return sorted(found.values(),
-                  key=lambda r: (-r.density, r.poly.a, r.poly.b, r.poly.c))
+    found = []
+    for arm in traced_arms(table, ps, max_n, PRIME_DENSITY,
+                           second_differential=18, longest=True):
+        count = sum(m in primeset for m in arm.members)
+        found.append(PrimeArm(
+            members=arm.members, poly=arm.poly, prime_count=count,
+            density=count / len(arm.members), coprime6=coprime6_check(arm.poly)))
+    return sorted(found, key=lambda r: (-r.density, r.poly.a, r.poly.b, r.poly.c))
 
 
 def scan_csv(rows) -> str:

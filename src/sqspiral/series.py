@@ -171,7 +171,10 @@ def fib_angle_series_streaming(count: int) -> FibAngles:
     """Same as fib_angle_series from stream_cum_angles: no table bound, the
     table's bits up to index 2**20, about 1e-16 relative error past it."""
     fibs = fibonacci_numbers(count + 1)
-    w = stream_cum_angles([f - 1 for f in fibs])
+    try:
+        w = stream_cum_angles([f - 1 for f in fibs])
+    except OverflowError:  # an index past the float range, from count 1474
+        raise ValueError(f"count {count}: Fibonacci rays past the float range") from None
     alphas = [w[fibs[k + 1] - 1] - w[fibs[k] - 1] for k in range(count)]
     return _fib_angles_from(alphas)
 

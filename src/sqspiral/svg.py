@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 from .table import SpiralTable
+from .config import parse_key_values
 from . import arms as _arms
 from .series import AnalysisSeries
 
@@ -24,18 +25,7 @@ DEFAULT_STYLE = {
 
 def parse_style(text: str) -> dict:
     """Parse a key=value style file; unknown keys are rejected."""
-    style = dict(DEFAULT_STYLE)
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):  # values may contain '#' (colors)
-            continue
-        if "=" not in line:
-            raise ValueError(f"style line {lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULT_STYLE:
-            raise ValueError(f"style line {lineno}: unknown key {key!r}")
-        style[key] = value
-    return style
+    return {**DEFAULT_STYLE, **parse_key_values(text, DEFAULT_STYLE, "style")}
 
 
 @dataclass(frozen=True)

@@ -453,29 +453,12 @@ def suite_primes() -> list[Check]:
 
 
 # --------------------------------------------------------------------------
-_SUITE_FUNCS = {
-    "constants": suite_constants,
-    "table1": suite_table1,
-    "fig7": suite_fig7,
-    "fig15": suite_fig15,
-    "table2": suite_table2,
-    "table3": suite_table3,
-    "rule52": suite_rule52,
-    "fib": suite_fib,
-    "fig16": suite_fig16,
-    "primes": suite_primes,
-}
+_SUITE_FUNCS = {name: globals()[f"suite_{name}"] for name in SUITES}
 
 
 def run_suite(name: str) -> list[Check]:
-    if name == "all":
-        checks = []
-        for suite in SUITES:
-            checks.extend(_SUITE_FUNCS[suite]())
-        return checks
-    if name not in _SUITE_FUNCS:
-        raise KeyError(name)
-    return _SUITE_FUNCS[name]()
+    names = SUITES if name == "all" else (name,)
+    return [c for suite in names for c in _SUITE_FUNCS[suite]()]  # KeyError if unknown
 
 
 def render_report(checks) -> str:

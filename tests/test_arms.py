@@ -3,6 +3,7 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqspiral.arms import (NumberGroup, b_hat_lattice_ok, direction_of,
                            enumerate_arms, in_window, members, parse_group,
@@ -109,6 +110,18 @@ def test_trace_reads_each_angle_once(table2000):
                     prime_arm[:3], 2000, PRIME_DENSITY)
     assert arm.members == prime_arm
     assert counting.calls <= len(prime_arm) + 3
+
+
+def test_prime_arm_trimmed_back_to_its_last_prime(table2000):
+    """From (2, 11, 29) the prime walk steps over 56 (3/4 primes) and 92 (3/5,
+    exactly PRIME_DENSITY), then over 254 (5/8); 326 would leave 5/9, so the
+    walk stops there and the arm ends on its last prime, 191."""
+    primeset = set(members(parse_group("primes"), 2000))
+    arm = trace_arm(table2000, primeset, (2, 11, 29), 2000, PRIME_DENSITY)
+    assert arm.members == (2, 11, 29, 56, 92, 137, 191)
+    assert len(arm.drifts) == 6
+    assert arm.poly(arm.start_t + 6) == 191
+    assert trace_arm(table2000, primeset, (2, 11, 29), 2000) is None  # exact: stops at 56
 
 
 def test_drift_convergence_long_arm():
@@ -228,6 +241,33 @@ def test_enumerate_matches_brute_force(table400, spec, count):
     expected = _brute_force_arms(table400, group, 300)
     assert len(expected) == count
     assert {a.members for a in enumerate_arms(table400, group, 300)} == expected
+
+
+@st.composite
+def list_groups(draw):
+    """(n, group): n <= 200 and 0-40 members: n, n // 4 (the last seed start),
+    their neighbours and numbers from 1..n, plus the quadratic run through one
+    window seed of 1..n, with one member perhaps left out, so that arms occur."""
+    n = draw(st.integers(1, 200))
+    edges = [max(1, v) for v in (n, n - 1, n // 4, n // 4 + 1)]
+    vals = draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(1, n)),
+                         max_size=32))
+    seeds = list(window_seeds(table_for(400), range(1, n + 1), n))
+    if seeds:
+        m1, m2, m3 = draw(st.sampled_from(seeds))
+        run = [m1 + k * (m2 - m1) + k * (k - 1) // 2 * (m1 - 2 * m2 + m3)
+               for k in range(8)]
+        gap = draw(st.integers(0, 8))
+        vals += run[:gap] + run[gap + 1:]
+    return n, NumberGroup("list", tuple(sorted(set(vals))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(list_groups())
+def test_enumerate_matches_brute_force_on_random_lists(table400, case):
+    n, group = case
+    assert {a.members for a in enumerate_arms(table400, group, n)} == \
+        _brute_force_arms(table400, group, n)
 
 
 @pytest.mark.parametrize("spec", ["div:2", "div:3", "primes"])

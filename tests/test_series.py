@@ -135,6 +135,13 @@ def test_fib_angle_step_ratio_far_beyond_any_table():
     assert index == 99 and abs(ratio - math.sqrt(GOLDEN)) <= 1e-9
 
 
+@pytest.mark.parametrize("count", [1474, 1480, 1600])
+def test_fib_angles_past_the_float_range_are_a_value_error(count):
+    assert len(fib_angle_series_streaming(1473).alphas_deg.terms) == 1473
+    with pytest.raises(ValueError, match=f"count {count}: .*float range"):
+        fib_angle_series_streaming(count)
+
+
 def test_axis_crossings(table400):
     report = axis_crossings(table400, 6)
     assert report.crossings == (2, 18, 54, 110, 186, 282)
