@@ -226,6 +226,7 @@ def _trace(angle_at, bitmap, seeds, max_n: int, density: float,
     for col, (sid, ray, step) in enumerate(columns, 1):
         use = col < span[sid]
         mem[at[sid[use]] + col], drift[at[sid[use]] + col] = ray[use], step[use] - TAU
+    del columns                            # peak memory: free the walk first
     mem, drift = mem.tolist(), drift.tolist()
     half = {x: Fraction(x, 2) for x in set(dd.tolist()) | set(b2.tolist())}
     out = []
