@@ -122,7 +122,7 @@ def cmd_build(args, cfg: Config) -> int:
         save_table(table, path)
     _emit(f"max_n={table.max_n}\n"
           f"final_angle={table.w(table.max_n):.12f}\n"
-          f"c2_raw={c2_estimate(table, table.max_n):.12f}\n")
+          f"c2_raw={c2_estimate(table.max_n, table.w(table.max_n)):.12f}\n")
     if path:
         _emit(f"cache={path}\n")
     return EXIT_OK

@@ -18,20 +18,18 @@ from .table import TAU, SpiralTable
 C2_PUBLISHED = -2.157782996659
 
 
-def c2_estimate(table: SpiralTable, k: int) -> float:
-    """w(k) - 2*sqrt(k); converges to the spiral constant from above."""
-    if not 1 <= k <= table.max_n:
-        raise IndexError(f"k={k} outside table range 1..{table.max_n}")
-    return table.w(k) - 2.0 * math.sqrt(k)
+def c2_estimate(k: int, w: float) -> float:
+    """c2(k) = w - 2*sqrt(k) for w = w(k); converges to the spiral constant from above."""
+    return w - 2.0 * math.sqrt(k)
 
 
-def c2_extrapolate(table: SpiralTable, sample_ks) -> float:
-    """Richardson-extrapolate c2 from samples c2(k) at geometrically spaced k.
+def c2_extrapolate(w_at: dict[int, float]) -> float:
+    """Richardson-extrapolate c2 from w_at = {k: w(k)} at geometrically spaced k.
 
     Model: c2(k) = c2 + alpha*x + beta*x^2 + gamma*x^3 with x = k^(-1/2).
     Four samples interpolate exactly; more are fit by least squares.
     """
-    ks = sorted(int(k) for k in sample_ks)
+    ks = sorted(w_at)
     if len(ks) < 4:
         raise ValueError("need at least 4 sample points")
     for a, b in zip(ks, ks[1:]):
@@ -39,7 +37,7 @@ def c2_extrapolate(table: SpiralTable, sample_ks) -> float:
             raise ValueError(
                 f"ill-conditioned spacing: consecutive samples {a}, {b} have ratio < 2")
     x = np.array([1.0 / math.sqrt(k) for k in ks])
-    y = np.array([c2_estimate(table, k) for k in ks])
+    y = np.array([c2_estimate(k, w_at[k]) for k in ks])
     design = np.vander(x, 4, increasing=True)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     return float(coef[0])
@@ -63,33 +61,32 @@ class WindingRow:
     gap: float    # (angle_of(m) - angle_of(n)) - 2*pi
 
 
-def nearest_one_turn(table: SpiralTable, n: int):
-    """Ray m minimizing |(angle_of(m) - angle_of(n)) - 2*pi|, or None when the
-    one-turn angle lies past the table end, where the ray beyond it is missing."""
-    target = table.angle_of(n) + TAU
-    if target > float(table.cum_angle[-1]):
-        return None
-    m = table.nearest_ray(target, lo=n + 1)
-    return m, (table.angle_of(m) - table.angle_of(n)) - TAU
-
-
 def winding_distance_table(table: SpiralTable, probes=None) -> list[WindingRow]:
     """Winding-distance rows sqrt(m) - sqrt(n) for each probe ray n.
 
-    Default probes are all n >= 1; probes whose successor search runs off the
-    table end are skipped.  Distances tend to pi as the winding grows.
+    Ray m > n is the ray nearest angle_of(n) + 2*pi (the first of a tie), for
+    all probes at once.  Default probes are all n >= 1; probes whose target
+    lies past the table end are skipped.  Distances tend to pi as the winding
+    grows.
     """
-    if probes is None:
-        probes = range(1, table.max_n + 1)
-    rows = []
-    for n in probes:
-        hit = nearest_one_turn(table, n)
-        if hit is None:
-            continue
-        m, gap = hit
-        rows.append(WindingRow(n=n, m=m, distance=math.sqrt(m) - math.sqrt(n),
-                               winding=table.winding(m), gap=gap))
-    return rows
+    cum = table.cum_angle
+    n = (np.arange(1, table.max_n + 1) if probes is None
+         else np.fromiter(probes, dtype=np.int64))
+    if n.size and not (1 <= n.min() and n.max() <= table.max_n + 1):
+        raise IndexError(f"probes outside table range 1..{table.max_n + 1}")
+    n = n[cum[n - 1] + TAU <= cum[-1]]
+    start = cum[n - 1]
+    target = start + TAU
+    # target <= cum[-1], so rays j and j+1, at cum[j-1] < target <= cum[j],
+    # both exist; ray j wins a tie if it is past n
+    j = np.searchsorted(cum, target)
+    m = np.where((j >= n + 1) & (np.abs(cum[j - 1] - target) <= np.abs(cum[j] - target)),
+                 j, j + 1)
+    end = cum[m - 1]
+    rows = zip(n.tolist(), m.tolist(), (np.sqrt(m) - np.sqrt(n)).tolist(),
+               (1 + end // TAU).astype(np.int64).tolist(),
+               ((end - start) - TAU).tolist())
+    return [WindingRow(*row) for row in rows]
 
 
 def winding_averages(rows, fold_at: int | None = None) -> dict[int, float]:
@@ -121,8 +118,9 @@ class ConstantsReport:
 
 
 def constants_report(table: SpiralTable, sample_ks, probes) -> ConstantsReport:
+    w_at = {k: table.w(k) for k in sample_ks}
     return ConstantsReport(
-        c2_raw_at={k: c2_estimate(table, k) for k in sample_ks},
-        c2_extrapolated=c2_extrapolate(table, sample_ks),
+        c2_raw_at={k: c2_estimate(k, w) for k, w in w_at.items()},
+        c2_extrapolated=c2_extrapolate(w_at),
         pi_winding_table=winding_distance_table(table, probes=probes),
     )

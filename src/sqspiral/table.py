@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -163,13 +164,21 @@ def table_for(max_n: int) -> SpiralTable:
     return build_table(max_n)
 
 
-def uncompensated_w(k: int) -> float:
-    """w(k) with the block totals carried by bare additions, no compensation;
-    its gap to the table's w(k) bounds the carry's rounding error."""
-    total = 0.0
-    for _, _, _, prefix in _blocks(k):
-        total += float(prefix[-1])
-    return total
+def exact_cum_angles(ks) -> tuple[dict[int, float], float]:
+    """Cumulative angles w(k) at selected indices with the table's bits, from
+    one block walk up to max(ks) that stores no table; also w(max(ks)) with
+    the block totals carried by bare additions, no compensation, whose gap to
+    the compensated w bounds the carry's rounding error."""
+    ks = sorted(set(int(k) for k in ks))
+    if ks and ks[0] < 0:
+        raise ValueError("indices must be >= 0")
+    w = {0: 0.0}
+    plain = 0.0
+    for lo, hi, base, prefix in _blocks(ks[-1] if ks else 0):
+        for k in ks[bisect_left(ks, lo):bisect_left(ks, hi)]:
+            w[k] = base + float(prefix[k - lo])
+        plain += float(prefix[-1])
+    return {k: w[k] for k in ks}, plain
 
 
 def stream_cum_angles(ks) -> dict[int, float]:
@@ -182,16 +191,8 @@ def stream_cum_angles(ks) -> dict[int, float]:
     only float rounding (about 1e-16 relative) is left, at O(1) cost.
     """
     ks = sorted(set(int(k) for k in ks))
-    if ks and ks[0] < 0:
-        raise ValueError("indices must be >= 0")
     k0 = min(ks[-1], TAIL_START) if ks else 0
-    want = sorted({k for k in ks if 0 < k < k0} | {k0})
-    w = {0: 0.0}
-    pos = 0
-    for lo, hi, base, prefix in _blocks(k0):
-        while pos < len(want) and want[pos] < hi:
-            w[want[pos]] = base + float(prefix[want[pos] - lo])
-            pos += 1
+    w, _ = exact_cum_angles([k for k in ks if k < k0] + [k0])
     r0 = math.sqrt(k0)
     for k in ks:
         if k > k0:

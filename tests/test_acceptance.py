@@ -35,7 +35,7 @@ def _assert_all(label, checks):
 def test_criterion_01_spiral_constant(suites):
     t0 = time.perf_counter()
     table = build_table(10**7)
-    c2 = c2_extrapolate(table, [10**4, 10**5, 10**6, 10**7])
+    c2 = c2_extrapolate({k: table.w(k) for k in [10**4, 10**5, 10**6, 10**7]})
     elapsed = time.perf_counter() - t0
     print(f"ACCEPTANCE 1 timing: build(1e7)+extrapolate in {elapsed:.2f}s")
     assert elapsed < 30.0

@@ -2,32 +2,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sqspiral.constants import (C2_PUBLISHED, archimedean_radius, c2_estimate,
-                                c2_extrapolate, winding_averages,
+from sqspiral import table as table_mod
+from sqspiral import verify
+from sqspiral.constants import (C2_PUBLISHED, WindingRow, archimedean_radius,
+                                c2_estimate, c2_extrapolate, winding_averages,
                                 winding_distance_table)
-from sqspiral.table import SpiralTable
+from sqspiral.table import TAU, SpiralTable
 from sqspiral.table import table_for
 
 
 def test_c2_at_1(table400):
-    assert c2_estimate(table400, 1) == pytest.approx(math.pi / 4 - 2, abs=1e-15)
+    assert c2_estimate(1, table400.w(1)) == pytest.approx(math.pi / 4 - 2, abs=1e-15)
 
 
 def test_c2_at_1e6_near_limit():
     table = table_for(10**6)
-    assert c2_estimate(table, 10**6) == pytest.approx(C2_PUBLISHED, abs=2e-3)
+    assert c2_estimate(10**6, table.w(10**6)) == pytest.approx(C2_PUBLISHED, abs=2e-3)
 
 
 def test_c2_extrapolation_hits_published_digits():
     table = table_for(10**6)
-    c2 = c2_extrapolate(table, [10**3, 10**4, 10**5, 10**6])
+    c2 = c2_extrapolate({k: table.w(k) for k in [10**3, 10**4, 10**5, 10**6]})
     assert c2 == pytest.approx(C2_PUBLISHED, abs=1e-8)
 
 
 def test_c2_extrapolation_error_shrinks_with_range():
     table = table_for(10**6)
-    errors = [abs(c2_extrapolate(table, [top // 1000, top // 100, top // 10, top])
+    errors = [abs(c2_extrapolate({k: table.w(k)
+                                  for k in [top // 1000, top // 100, top // 10, top]})
                   - C2_PUBLISHED)
               for top in (10**4, 10**5, 10**6)]
     assert errors[2] < errors[1] < errors[0]
@@ -37,15 +41,15 @@ def test_c2_extrapolation_constant_fallback():
     # a synthetic table with w(k) = 2*sqrt(k) + C exactly recovers C
     ks = np.arange(0, 10**5 + 1, dtype=np.float64)
     fake = SpiralTable(max_n=10**5, cum_angle=2.0 * np.sqrt(ks) - 1.25)
-    got = c2_extrapolate(fake, [10**2, 10**3, 10**4, 10**5])
+    got = c2_extrapolate({k: fake.w(k) for k in [10**2, 10**3, 10**4, 10**5]})
     assert got == pytest.approx(-1.25, abs=1e-10)
 
 
 def test_c2_extrapolation_rejects_bad_spacing(table400):
     with pytest.raises(ValueError, match="spacing"):
-        c2_extrapolate(table400, [100, 150, 200, 300])
+        c2_extrapolate({k: table400.w(k) for k in [100, 150, 200, 300]})
     with pytest.raises(ValueError, match="4 sample"):
-        c2_extrapolate(table400, [10, 100, 300])
+        c2_extrapolate({k: table400.w(k) for k in [10, 100, 300]})
 
 
 def test_winding_distance_known_pairs(table400):
@@ -55,6 +59,74 @@ def test_winding_distance_known_pairs(table400):
     assert rows[2].winding == 2
     assert rows[33].m == 79
     assert rows[33].distance == pytest.approx(3.1436, abs=1e-4)
+
+
+def _one_turn_rows(table, probes):
+    """Per-probe oracle: one nearest_ray search per probe ray n."""
+    rows = []
+    for n in probes:
+        target = table.angle_of(n) + TAU
+        if target > table.w(table.max_n):
+            continue
+        m = table.nearest_ray(target, lo=n + 1)
+        rows.append(WindingRow(n=n, m=m, distance=math.sqrt(m) - math.sqrt(n),
+                               winding=table.winding(m),
+                               gap=(table.angle_of(m) - table.angle_of(n)) - TAU))
+    return rows
+
+
+def _assert_same_rows(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for field in ("n", "m", "distance", "winding", "gap"):
+            assert (getattr(g, field), type(getattr(g, field))) == (
+                getattr(w, field), type(getattr(w, field))), (w.n, field)
+
+
+@pytest.mark.parametrize("max_n, probes", [
+    (400, range(1, 402)),         # every probe, the last ones past the table end
+    (30000, range(1, 26000)),
+    (12000, range(1, 11000)),
+])
+def test_winding_rows_match_per_probe_oracle(max_n, probes):
+    table = table_for(max_n)
+    rows = winding_distance_table(table, probes=probes)
+    _assert_same_rows(rows, _one_turn_rows(table, probes))
+    if max_n == 400:  # default probes 1..max_n: the same rows, 401 is past the end
+        assert winding_distance_table(table) == rows
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=2001), max_size=60))
+def test_winding_rows_match_oracle_on_drawn_probes(probes):
+    table = table_for(2000)
+    _assert_same_rows(winding_distance_table(table, probes=probes),
+                      _one_turn_rows(table, probes))
+
+
+def test_winding_rows_reject_probes_outside_table(table400):
+    for bad in ([0], [402], [5, 500]):
+        with pytest.raises(IndexError):
+            winding_distance_table(table400, probes=bad)
+    assert winding_distance_table(table400, probes=[]) == []
+
+
+def test_suite_constants_builds_no_large_table(monkeypatch):
+    sizes = []
+    build = table_mod.build_table
+
+    def recording_build(max_n):
+        sizes.append(max_n)
+        return build(max_n)
+
+    monkeypatch.setattr(table_mod, "build_table", recording_build)
+    table_for.cache_clear()
+    try:
+        checks = verify.suite_constants()
+    finally:
+        table_for.cache_clear()
+    assert all(c.ok for c in checks)
+    assert sizes and max(sizes) <= 10**5
 
 
 def test_winding_distance_skips_probes_near_table_end(table400):
@@ -109,7 +181,7 @@ def test_constants_report_csv():
     from sqspiral.constants import constants_report
     table = table_for(2000)
     report = constants_report(table, [3, 30, 300, 2000], probes=range(1, 500))
-    assert report.c2_raw_at[3] == c2_estimate(table, 3)
+    assert report.c2_raw_at[3] == c2_estimate(3, table.w(3))
     lines = report.winding_table_csv().splitlines()
     assert lines[0] == "n,m,distance,winding,winding_avg"
     assert lines[2].startswith("2,21,3.168362,2,")
@@ -118,7 +190,7 @@ def test_constants_report_csv():
 
 def test_archimedean_tracks_radii():
     table = table_for(10**6)
-    c2 = c2_extrapolate(table, [10**3, 10**4, 10**5, 10**6])
+    c2 = c2_extrapolate({k: table.w(k) for k in [10**3, 10**4, 10**5, 10**6]})
     ns = np.arange(100, 10**4)
     pred = 0.5 * table.cum_angle[ns - 1] - 0.5 * c2
     assert float(np.max(np.abs(pred - np.sqrt(ns)))) <= 0.01

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from sqspiral import table as table_mod
 from sqspiral.table import (CHUNK, DEFAULT_CAPACITY, TAIL_START, CapacityError, _blocks,
-                            build_table, load_table, save_table, segment_angle,
-                            stream_cum_angles, table_for, uncompensated_w,
+                            build_table, exact_cum_angles, load_table, save_table,
+                            segment_angle, stream_cum_angles, table_for,
                             wrap_signed, TAU)
 
 
@@ -81,8 +81,19 @@ def test_build_deterministic_and_prefix_stable(table100k):
 
 def test_plain_vs_compensated_gap(table100k):
     comp = build_table(10**6)
-    assert abs(comp.w(10**6) - uncompensated_w(10**6)) <= 1e-10
-    assert uncompensated_w(CHUNK) == table100k.w(CHUNK)  # one block: no carry
+    assert abs(comp.w(10**6) - exact_cum_angles([10**6])[1]) <= 1e-10
+    assert exact_cum_angles([CHUNK])[1] == table100k.w(CHUNK)  # one block: no carry
+
+
+def test_exact_walk_has_the_table_bits():
+    table = build_table(10**6)
+    ks = [1, CHUNK - 1, CHUNK, CHUNK + 1, 10**6]
+    w, _ = exact_cum_angles(ks)
+    assert w == {k: table.w(k) for k in ks}
+    assert exact_cum_angles([0, 0, 3]) == ({0: 0.0, 3: table.w(3)}, table.w(3))
+    assert exact_cum_angles([]) == ({}, 0.0)
+    with pytest.raises(ValueError):
+        exact_cum_angles([-1, 5])
 
 
 def test_block_bases_carry_exact_sum_of_block_totals():
