@@ -92,8 +92,6 @@ def test_winding_rows_match_per_probe_oracle(max_n, probes):
     table = table_for(max_n)
     rows = winding_distance_table(table, probes=probes)
     _assert_same_rows(rows, _one_turn_rows(table, probes))
-    if max_n == 400:  # default probes 1..max_n: the same rows, 401 is past the end
-        assert winding_distance_table(table) == rows
 
 
 @settings(max_examples=25, deadline=None)
@@ -104,11 +102,13 @@ def test_winding_rows_match_oracle_on_drawn_probes(probes):
                       _one_turn_rows(table, probes))
 
 
-def test_winding_rows_reject_probes_outside_table(table400):
+def test_winding_rows_probe_defaults_and_range(table400):
+    assert winding_distance_table(table400) == winding_distance_table(
+        table400, probes=range(1, 401))
+    assert winding_distance_table(table400, probes=[]) == []
     for bad in ([0], [402], [5, 500]):
         with pytest.raises(IndexError):
             winding_distance_table(table400, probes=bad)
-    assert winding_distance_table(table400, probes=[]) == []
 
 
 def test_suite_constants_builds_no_large_table(monkeypatch):

@@ -92,8 +92,9 @@ def test_exact_walk_has_the_table_bits():
     assert w == {k: table.w(k) for k in ks}
     assert exact_cum_angles([0, 0, 3]) == ({0: 0.0, 3: table.w(3)}, table.w(3))
     assert exact_cum_angles([]) == ({}, 0.0)
-    with pytest.raises(ValueError):
-        exact_cum_angles([-1, 5])
+    for read in (exact_cum_angles, stream_cum_angles):
+        with pytest.raises(ValueError):
+            read([-1, 5])
 
 
 def test_block_bases_carry_exact_sum_of_block_totals():
