@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
 from fractions import Fraction
 
 import numpy as np
@@ -85,24 +87,82 @@ def members(group: NumberGroup, max_n: int) -> list[int]:
     raise ValueError(f"unknown group kind {group.kind!r}")
 
 
-@dataclass(frozen=True)
-class Arm:
-    """A maximal traced arm with its canonical polynomial; its drifts and
-    direction come from the steps of the walk that traced it."""
+def _doubled(poly: QuadraticPoly):
+    """(2a, 2b, 2c) as ints, an arm polynomial's key; None if one is not an int."""
+    key = [2 * Fraction(q) for q in (poly.a, poly.b, poly.c)]
+    return None if any(q.denominator != 1 for q in key) else tuple(map(int, key))
 
-    members: tuple
-    poly: QuadraticPoly           # canonical: b in [0, 2a)
-    start_t: int                  # poly(start_t + i) == members[i]
-    drifts: tuple                 # per traced step: advance - 2*pi, in (-pi, pi)
-    direction: str                # "P", "N", or "indeterminate"
+
+#: Direction names by code, in the order the names sort.
+DIRECTIONS = ("N", "P", "indeterminate")
+
+
+@dataclass(init=False, unsafe_hash=True)
+class Arm:
+    """A maximal traced arm, read from the columns of the walk that traced it.
+
+    Its canonical polynomial (b in [0, 2a)) is held as the integers
+    (D, 2b, 2c), D = 2a, with start_t and direction, and its members and
+    drifts as spans of flat arrays shared by the walk's arms.  The five
+    dataclass fields are read-only properties; `members`, `drifts` and
+    `poly` are built on each read.  Equality and hash are over the fields.
+    """
+
+    members: tuple                # the fields, in order; each a property below
+    poly: QuadraticPoly
+    start_t: int
+    drifts: tuple
+    direction: str
+    __slots__ = ("_row", "_flat")
+
+    def __init__(self, members, poly: QuadraticPoly, start_t: int, drifts,
+                 direction: str):
+        key = _doubled(poly)
+        if key is None:
+            raise ValueError(f"{poly} has a coefficient that is not a half-integer")
+        self._row = (*key, start_t, direction, 0, len(members), 0, len(drifts))
+        self._flat = (np.array(members, dtype=np.int64), np.array(drifts, dtype=float))
+
+    @classmethod
+    def _view(cls, row, flat):
+        """The arm at row (D, 2b, 2c, start_t, direction, members from, to,
+        drifts from, to) of the shared flat = (members, drifts) arrays."""
+        arm = object.__new__(cls)
+        arm._row, arm._flat = row, flat
+        return arm
+
+    @property
+    def members(self) -> tuple:
+        lo, hi = self._row[5:7]
+        return tuple(self._flat[0][lo:hi].tolist())
+
+    @property
+    def poly(self) -> QuadraticPoly:
+        """Canonical: b in [0, 2a); poly(start_t + i) == members[i]."""
+        return QuadraticPoly(*(Fraction(q, 2) for q in self._row[:3]))
+
+    @property
+    def start_t(self) -> int:
+        return self._row[3]
+
+    @property
+    def drifts(self) -> tuple:
+        """Per traced step: advance - 2*pi, in (-pi, pi)."""
+        lo, hi = self._row[7:]
+        return tuple(self._flat[1][lo:hi].tolist())
+
+    @property
+    def direction(self) -> str:
+        """"P", "N", or "indeterminate"."""
+        return self._row[4]
 
     @property
     def second_differential(self) -> int:
-        return 2 * self.poly.a.numerator // self.poly.a.denominator  # a = D/2
+        return self._row[0]
 
     @property
     def b_hat(self) -> Fraction:
-        return self.poly.b
+        return Fraction(self._row[1], 2)
 
 
 def in_window(table: SpiralTable, a: int, b: int) -> bool:
@@ -127,6 +187,24 @@ def direction_of(drifts) -> str:
     if med == 0.0:
         return "indeterminate"
     return "P" if med < 0 else "N"
+
+
+def direction_codes(drift, first, count):
+    """`direction_of` for many arms at once, as indices into DIRECTIONS: arm
+    i's drifts are drift[first[i]:first[i] + count[i]], count[i] >= 1.
+
+    The median is taken with the same float operations: the middle one of
+    the sorted first min(5, count) drifts, or the half sum of the middle two.
+    """
+    drift = np.asarray(drift, dtype=np.float64)
+    first, k = np.asarray(first, dtype=np.int64), np.minimum(count, 5)
+    j = np.arange(5)
+    at = np.minimum(first[:, None] + j, len(drift) - 1)
+    early = np.sort(np.where(j < k[:, None], drift[at], np.inf), axis=1)
+    hi = np.take_along_axis(early, (k // 2)[:, None], 1)[:, 0]
+    lo = np.take_along_axis(early, ((k - 1) // 2)[:, None], 1)[:, 0]
+    med = np.where(k % 2 == 1, hi, 0.5 * (lo + hi))
+    return np.where(med == 0.0, 2, np.where(med < 0, 1, 0))
 
 
 def trace_arm(table: SpiralTable, memberset, seed, max_n: int,
@@ -183,7 +261,10 @@ def _trace(angle_at, bitmap, seeds, max_n: int, density: float,
     always, to a non-member while members / (length + 1) >= `density`, only
     inside the winding window; arms end on their last member.  One arm per
     canonical (D, 2b, 2c), D = 2a, in that order: the first in seed order,
-    or with `longest` the longest, the first on a tie.
+    or with `longest` the longest, the first on a tie.  The arms are views
+    of the walk's columns: the integer keys, start_t, direction codes
+    (`direction_codes` of the steps' drifts) and one flat member and one
+    flat drift array, an arm's drifts following its first member.
     """
     m1, m2, m3 = seeds
     d1, dd = m2 - m1, m1 - 2 * m2 + m3
@@ -227,16 +308,12 @@ def _trace(angle_at, bitmap, seeds, max_n: int, density: float,
         use = col < span[sid]
         mem[at[sid[use]] + col], drift[at[sid[use]] + col] = ray[use], step[use] - TAU
     del columns                            # peak memory: free the walk first
-    mem, drift = mem.tolist(), drift.tolist()
-    half = {x: Fraction(x, 2) for x in set(dd.tolist()) | set(b2.tolist())}
-    out = []
-    for lo, n, d, b, c, s in zip(start.tolist(), size.tolist(), dd.tolist(),
-                                 b2.tolist(), c2.tolist(), shift.tolist()):
-        drifts = tuple(drift[lo + 1:lo + n])   # steps in the window: in (-pi, pi)
-        out.append(Arm(members=tuple(mem[lo:lo + n]), start_t=1 - s,
-                       poly=QuadraticPoly(half[d], half[b], Fraction(c, 2)),
-                       drifts=drifts, direction=direction_of(drifts)))
-    return out
+    code = direction_codes(drift, start + 1, size - 1).tolist()
+    direction = [DIRECTIONS[c] for c in code]
+    flat, end = (mem, drift), (start + size).tolist()
+    return [Arm._view(row, flat) for row in zip(
+        dd.tolist(), b2.tolist(), c2.tolist(), (1 - shift).tolist(), direction,
+        start.tolist(), end, (start + 1).tolist(), end)]
 
 
 def traced_arms(table: SpiralTable, mem, max_n: int, density: float = 1.0,
@@ -292,17 +369,22 @@ class SystemReport:
 
 
 def classify_systems(arms, group: NumberGroup, max_n: int) -> SystemReport:
-    """Group arms into systems keyed by (direction, a, b mod 2a)."""
-    buckets: dict[tuple, set] = {}
-    for arm in arms:  # canonical b is a half-integer: bucket on 2b, an int
-        key = (arm.direction, arm.second_differential)
-        b = arm.poly.b
-        buckets.setdefault(key, set()).add(2 * b.numerator // b.denominator)
+    """Group arms into systems keyed by (direction, a, b mod 2a): on the
+    integers (direction, D, 2b), as canonical b is a half-integer."""
+    arms = tuple(arms)
+    systems = sorted({(arm.direction, *arm._row[:2]) for arm in arms})
     clusters = [SystemCluster(direction=direction, second_differential=dd,
-                              b_hats=tuple(Fraction(b2, 2) for b2 in sorted(b2s)))
-                for (direction, dd), b2s in sorted(buckets.items())]
-    return SystemReport(group=group, max_n=max_n, arms=tuple(arms),
-                        clusters=tuple(clusters))
+                              b_hats=tuple(Fraction(b2, 2) for *_, b2 in rows))
+                for (direction, dd), rows in groupby(systems, key=lambda s: s[:2])]
+    return SystemReport(group=group, max_n=max_n, arms=arms, clusters=tuple(clusters))
+
+
+def find_arm(arms, poly: QuadraticPoly):
+    """The arm with canonical polynomial `poly` among `arms` in canonical
+    (a, b, c) order, as `enumerate_arms` returns them; None if there is none."""
+    key = _doubled(poly)
+    i = bisect_left(arms, key, key=lambda arm: arm._row[:3]) if key else len(arms)
+    return arms[i] if i < len(arms) and arms[i]._row[:3] == key else None
 
 
 def b_hat_lattice_ok(cluster: SystemCluster, p: int) -> bool:
@@ -328,23 +410,20 @@ def verify_rule_5_2(report: SystemReport):
     return out
 
 
+def _arm_json(arm: Arm) -> dict:
+    poly = arm.poly
+    return {"members": list(arm.members), "poly": str(poly),
+            "canonical": {"a": str(poly.a), "b_hat": str(poly.b), "c": str(poly.c)},
+            "start_t": arm.start_t, "direction": arm.direction,
+            "drifts": [round(d, 9) for d in arm.drifts]}
+
+
 def report_json(report: SystemReport) -> str:
     rule = verify_rule_5_2(report)
     doc = {
         "group": str(report.group),
         "max_n": report.max_n,
-        "arms": [
-            {
-                "members": list(a.members),
-                "poly": str(a.poly),
-                "canonical": {"a": str(a.poly.a), "b_hat": str(a.poly.b),
-                              "c": str(a.poly.c)},
-                "start_t": a.start_t,
-                "direction": a.direction,
-                "drifts": [round(d, 9) for d in a.drifts],
-            }
-            for a in report.arms
-        ],
+        "arms": [_arm_json(a) for a in report.arms],
         "systems": {
             d: [
                 {
@@ -369,8 +448,8 @@ def report_json(report: SystemReport) -> str:
 def report_csv(report: SystemReport) -> str:
     lines = ["direction,D,a,b_hat,c,start_t,len,members"]
     for a in report.arms:
+        poly, mem = a.poly, a.members
         lines.append(
-            f"{a.direction},{a.second_differential},{a.poly.a},{a.poly.b},"
-            f"{a.poly.c},{a.start_t},{len(a.members)},"
-            + " ".join(str(m) for m in a.members))
+            f"{a.direction},{a.second_differential},{poly.a},{poly.b},"
+            f"{poly.c},{a.start_t},{len(mem)}," + " ".join(str(m) for m in mem))
     return "\n".join(lines) + "\n"

@@ -135,10 +135,11 @@ def prime_arm_report(table: SpiralTable, max_n: int) -> list[PrimeArm]:
     found = []
     for arm in traced_arms(table, ps, max_n, PRIME_DENSITY,
                            second_differential=18, longest=True):
-        count = sum(m in primeset for m in arm.members)
+        mem, poly = arm.members, arm.poly
+        count = sum(m in primeset for m in mem)
         found.append(PrimeArm(
-            members=arm.members, poly=arm.poly, prime_count=count,
-            density=count / len(arm.members), coprime6=coprime6_check(arm.poly)))
+            members=mem, poly=poly, prime_count=count,
+            density=count / len(mem), coprime6=coprime6_check(poly)))
     return sorted(found, key=lambda r: (-r.density, r.poly.a, r.poly.b, r.poly.c))
 
 

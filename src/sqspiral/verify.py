@@ -19,8 +19,8 @@ from .table import TAU, SpiralTable, exact_cum_angles, table_for, wrap_signed
 from .constants import (archimedean_radius, c2_estimate, c2_extrapolate,
                         winding_averages, winding_distance_table)
 from .ratpoly import QuadraticPoly, newton_quadratic
-from .arms import (b_hat_lattice_ok, classify_systems, enumerate_arms, in_window,
-                   parse_group)
+from .arms import (b_hat_lattice_ok, classify_systems, enumerate_arms, find_arm,
+                   in_window, parse_group)
 from .series import (DEG, GOLDEN, axis_crossings, fib_angle_series_streaming,
                      fib_area_ratio_series, same_arm_angle_series,
                      square_angle_series, square_band_closed_form,
@@ -217,22 +217,22 @@ def suite_table2() -> list[Check]:
     for spec, systems in pub.TABLE2.items():
         report = reports[spec]
         table = table_for(report.max_n)
-        by_poly = {(a.poly.a, a.poly.b, a.poly.c): a for a in report.arms}
         for name, seq in systems.items():
             canon, _ = newton_quadratic(*seq[:3]).canonicalize()
-            arm = by_poly.get((canon.a, canon.b, canon.c))
+            arm = find_arm(report.arms, canon)
             if arm is None:
                 out.append(_flag(f"table2.{spec}.{name}", False, "not found",
                                  str(canon)))
                 continue
             reachable = _window_filtered(table, seq)
-            contained = all(m in arm.members for m in reachable)
+            mem = arm.members
+            contained = all(m in mem for m in reachable)
             want_dir = pub.system_direction(name)
             ok = contained and len(reachable) >= 3 and arm.direction == want_dir
-            dropped = [m for m in seq if m not in arm.members]
+            dropped = [m for m in seq if m not in mem]
             note = f"window drops {dropped}" if dropped else ""
             out.append(_flag(f"table2.{spec}.{name}", ok,
-                             f"dir={arm.direction} len={len(arm.members)}",
+                             f"dir={arm.direction} len={len(mem)}",
                              f"dir={want_dir} contains {reachable}", note))
     report17 = reports["div:17"]
     for direction in ("N", "P"):

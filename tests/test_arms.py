@@ -5,12 +5,16 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sqspiral.arms import (NumberGroup, b_hat_lattice_ok, direction_of,
-                           enumerate_arms, in_window, members, parse_group,
+import numpy as np
+
+from sqspiral import verify
+from sqspiral.arms import (DIRECTIONS, Arm, NumberGroup, b_hat_lattice_ok,
+                           direction_codes, direction_of, enumerate_arms,
+                           find_arm, in_window, members, parse_group,
                            trace_arm, verify_rule_5_2, report_csv, report_json,
                            window_seeds)
 from sqspiral.primes import PRIME_DENSITY
-from sqspiral.ratpoly import QuadraticPoly, second_differential
+from sqspiral.ratpoly import QuadraticPoly, newton_quadratic, second_differential
 from sqspiral.table import TAU, table_for, wrap_signed
 from sqspiral.verify import _cached_arm_reports
 
@@ -75,6 +79,88 @@ def _drifts(table, mem):
             for a, b in zip(mem, mem[1:])]
 
 
+def test_direction_codes_match_direction_of_on_every_report_arm():
+    for spec, report in _cached_arm_reports().items():
+        assert report.arms, spec
+        for arm in report.arms:
+            assert arm.direction == direction_of(arm.drifts), (spec, arm)
+
+
+# zeros of both signs, ties and opposite pairs (an exact 0.0 median of two)
+_DRIFTS = st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.5, -1.5]),
+                    st.floats(-math.pi, math.pi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_DRIFTS, min_size=1, max_size=8), min_size=1, max_size=6),
+       st.integers(0, 3))
+def test_direction_codes_match_direction_of(arms, lead):
+    """Arms' drifts laid end to end after `lead` unused slots, as in the walk's
+    flat drift array; 4 or 5 early drifts are what arms of MIN_ARM_LEN give."""
+    count = [len(d) for d in arms]
+    first = lead + np.cumsum(count) - count
+    drift = [7.0] * lead + [x for d in arms for x in d]
+    got = [DIRECTIONS[c] for c in direction_codes(drift, first, count)]
+    assert got == [direction_of(d) for d in arms]
+
+
+@pytest.mark.parametrize("drifts, direction", [
+    ([0.5, -0.5, 0.1, -0.1], "indeterminate"),      # half sum of two: exactly 0.0
+    ([-0.0, 0.0, -0.0, 1.0, -1.0], "indeterminate"),
+    ([-0.0, -0.0, -1.0, 0.0], "indeterminate"),
+    ([0.2, 0.2, -0.3, -0.3, 0.2, -9.0], "N"),        # a sixth drift is not read
+    ([-0.2, -0.2, 0.3, 0.3, -0.2, 9.0], "P"),
+])
+def test_direction_codes_ties_and_zeros(drifts, direction):
+    assert direction_of(drifts) == direction
+    assert DIRECTIONS[direction_codes(drifts, [0], [len(drifts)])[0]] == direction
+
+
+def test_lazy_arm_equals_arm_from_its_fields():
+    for arm in _cached_arm_reports()["div:11"].arms:
+        eager = Arm(members=arm.members, poly=arm.poly, start_t=arm.start_t,
+                    drifts=arm.drifts, direction=arm.direction)
+        assert eager == arm and hash(eager) == hash(arm)
+        assert (eager.second_differential, eager.b_hat) == \
+            (arm.second_differential, arm.b_hat)
+    other = Arm(arm.members, arm.poly, arm.start_t + 1, arm.drifts, arm.direction)
+    assert other != arm
+    with pytest.raises(ValueError):
+        Arm(arm.members, QuadraticPoly(Fr(1, 3), 0, 0), 0, arm.drifts, "N")
+
+
+def test_find_arm_by_canonical_polynomial():
+    arms = _cached_arm_reports()["div:13"].arms
+    assert all(find_arm(arms, arm.poly) is arm for arm in arms)
+    canon, _ = newton_quadratic(26, 91, 182).canonicalize()
+    assert find_arm(arms, canon).members[:3] == (26, 91, 182)
+    assert find_arm(arms, QuadraticPoly(1000, 0, 1)) is None
+    assert find_arm(arms, QuadraticPoly(Fr(13, 2), Fr(1, 3), 0)) is None
+    assert find_arm([], canon) is None
+
+
+def test_table2_and_rule52_build_polynomials_only_where_read(monkeypatch):
+    """On a cold cache the two arm suites build the published fits' polynomials,
+    not one per enumerated arm (38,758 over the nine reports)."""
+    built = []
+    init = QuadraticPoly.__post_init__
+
+    def recording_init(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(QuadraticPoly, "__post_init__", recording_init)
+    _cached_arm_reports.cache_clear()
+    try:
+        checks = verify.suite_table2() + verify.suite_rule52()
+        arms = sum(len(r.arms) for r in _cached_arm_reports().values())
+    finally:
+        _cached_arm_reports.cache_clear()
+    assert all(c.ok for c in checks)
+    assert arms == 38758
+    assert 0 < len(built) <= 300
+
+
 def test_direction_examples(table2000):
     assert direction_of(_drifts(table2000, (1, 16, 49, 100, 169, 256))) == "P"
     assert direction_of(_drifts(table2000, (2, 26, 70, 134, 218))) == "N"
@@ -101,6 +187,9 @@ def test_trace_reads_each_angle_once(table2000):
                     chain[:3], 600)
     assert arm.members == chain
     assert arm == _trace(table2000, "div:11", chain[:3], 600)
+    enumerated = next(a for a in enumerate_arms(table2000, parse_group("div:11"), 600)
+                      if a.members == chain)
+    assert arm == enumerated and hash(arm) == hash(enumerated)
     assert counting.calls <= len(chain) + 3
     # a prime arm stepping over five composites (171, 501, 993, 1411, 1647)
     prime_arm = (3, 41, 97, 171, 263, 373, 501, 647, 811, 993, 1193, 1411,
