@@ -2,10 +2,9 @@ import itertools
 import math
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-
-import numpy as np
 
 from sqspiral import verify
 from sqspiral.arms import (DIRECTIONS, Arm, NumberGroup, b_hat_lattice_ok,
