@@ -29,8 +29,7 @@ def main() -> int:
     print(f"verify all: {len(checks) - len(failed)}/{len(checks)} checks passed")
 
     table = table_for(400)
-    report = constants_report(table, [3, 15, 80, 400],
-                              probes=[n for n, _, _ in TABLE1_ROWS])
+    report = constants_report(table, probes=[n for n, _, _ in TABLE1_ROWS])
     (out / "table1.csv").write_text(report.winding_table_csv())
 
     group = parse_group("div:7")

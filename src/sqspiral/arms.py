@@ -209,16 +209,15 @@ def direction_codes(drift, first, count):
 
 def trace_arm(table: SpiralTable, memberset, seed, max_n: int,
               density: float = 1.0):
-    """One seed through the engine of `traced_arms`, each visited angle read once by
-    `table.angle_of`; None (a rejection) if mid-chain or shorter than MIN_ARM_LEN."""
+    """The walk of one seed, as `traced_arms` walks every seed; None (a
+    rejection) if mid-chain or shorter than MIN_ARM_LEN."""
     m1, m2, m3 = seed
     if not (m1 < m2 < m3):
         raise ValueError("seed must be strictly increasing")
     if max_n > table.max_n:
         raise ValueError(f"table covers only {table.max_n} < max_n={max_n}")
-    arms = _trace(lambda ns: np.array([table.angle_of(n) for n in ns.tolist()]),
-                  np.isin(np.arange(max(max_n, m1) + 1), list(memberset)),
-                  np.array([[m1], [m2], [m3]], dtype=np.int64), max_n, density)
+    arms = _keep(_walk(table, list(memberset),
+                       np.array([[m1], [m2], [m3]], dtype=np.int64), max_n, density))
     return arms[0] if arms else None
 
 
@@ -229,8 +228,10 @@ def _ranges(start, stop):
     return owner, np.arange(len(owner)) - (np.cumsum(count) - count)[owner] + start[owner]
 
 
-def _seed_arrays(table: SpiralTable, mem, max_n: int):
-    """`window_seeds` as an int64 array of shape (3, seeds)."""
+def window_seeds(table: SpiralTable, mem, max_n: int):
+    """Seed triples (m1, m2, m3) of the sorted members `mem`, the columns of an
+    int64 array of shape (3, seeds) in lexicographic order: convex
+    (m1 - 2*m2 + m3 > 0), each step inside the winding window, m1 <= max_n/4."""
     if max_n > table.max_n:
         raise ValueError(f"table covers only {table.max_n} < max_n={max_n}")
     mem = np.asarray(mem, dtype=np.int64)
@@ -246,42 +247,36 @@ def _seed_arrays(table: SpiralTable, mem, max_n: int):
     return np.stack([mem[i[pair]], mem[j[pair]], mem[k]])
 
 
-def window_seeds(table: SpiralTable, mem, max_n: int):
-    """Seed triples (m1, m2, m3) of the sorted members `mem`, in lexicographic order:
-    convex (m1 - 2*m2 + m3 > 0), each step inside the winding window, m1 <= max_n/4."""
-    return zip(*_seed_arrays(table, mem, max_n).tolist())
-
-
-def _trace(angle_at, bitmap, seeds, max_n: int, density: float,
-           longest: bool = False) -> list[Arm]:
-    """Walk all seeds at once, column by column over the live ones.
+def _walk(table: SpiralTable, mem, seeds, max_n: int, density: float):
+    """Walk every seed (a column of `seeds`) at once over the members `mem`
+    up to max_n, one step at a time over the live ones.
 
     Mid-chain seeds (a window-valid member before m1) are dropped, so each
     chain is walked once.  The walk steps to 2*cur - prev + D: to a member
     always, to a non-member while members / (length + 1) >= `density`, only
-    inside the winding window; arms end on their last member.  One arm per
-    canonical (D, 2b, 2c), D = 2a, in that order: the first in seed order,
-    or with `longest` the longest, the first on a tie.  The arms are views
-    of the walk's columns: the integer keys, start_t, direction codes
-    (`direction_codes` of the steps' drifts) and one flat member and one
-    flat drift array, an arm's drifts following its first member.
+    inside the winding window; arms end on their last member.  Each visited
+    angle is read once, as `table.cum_angle[n - 1]`.  Returns (seeds, each
+    seed's arm length, columns), column i the (seed index, ray, step) of the
+    seeds that took step i.
     """
+    bitmap = np.isin(np.arange(max_n + 1), mem)
+    cum = table.cum_angle
     m1, m2, m3 = seeds
     d1, dd = m2 - m1, m1 - 2 * m2 + m3
     prv = m1 - d1 + dd                     # the polynomial's value at t = 0
-    mid = np.flatnonzero((dd > 0) & (prv >= 1) & (prv < m1) & bitmap[np.clip(prv, 0, m1)])
-    adv = angle_at(m1[mid]) - angle_at(prv[mid])
-    live = dd > 0
+    live = (dd > 0) & (m1 <= max_n)        # a seed past max_n takes no step
+    mid = np.flatnonzero(live & (prv >= 1) & (prv < m1) & bitmap[np.clip(prv, 0, max_n)])
+    adv = cum[m1[mid] - 1] - cum[prv[mid] - 1]
     live[mid[(WINDOW_LO < adv) & (adv < WINDOW_HI)]] = False
     sid = np.flatnonzero(live)
-    cur, gap, angle = m1[sid], d1[sid], angle_at(m1[sid])
+    cur, gap, angle = m1[sid], d1[sid], cum[m1[sid] - 1]
     hits, length, columns = np.ones(len(sid), dtype=np.int64), live.astype(np.int64), []
     while len(sid):                        # a live arm has len(columns) + 1 rays
         nxt = cur + gap
         inside = nxt <= max_n
         member = inside & bitmap[np.minimum(nxt, max_n)]
         go = np.flatnonzero(inside & (member | (hits / (len(columns) + 2) >= density)))
-        nxt_angle = angle_at(nxt[go])
+        nxt_angle = cum[nxt[go] - 1]
         step = nxt_angle - angle[go]
         win = (WINDOW_LO < step) & (step < WINDOW_HI)
         go = go[win]
@@ -289,8 +284,24 @@ def _trace(angle_at, bitmap, seeds, max_n: int, density: float,
         columns.append((sid, cur, step[win]))
         length[sid[member]] = len(columns) + 1
         gap, hits = gap[go] + dd[sid], hits[go] + member
+    return seeds, length, columns
+
+
+def _keep(walk, longest: bool = False) -> list[Arm]:
+    """The arms of a `_walk` with at least MIN_ARM_LEN members, one per
+    canonical (D, 2b, 2c), D = 2a, in that order: the first in seed order, or
+    with `longest` the longest, the first on a tie.
+
+    The arms are views of the walk's columns: the integer keys, start_t,
+    direction codes (`direction_codes` of the steps' drifts) and one flat
+    member and one flat drift array, an arm's drifts following its first
+    member.  The walk's columns are emptied as they are read.
+    """
+    seeds, length, columns = walk
     kept = np.flatnonzero(length >= MIN_ARM_LEN)
-    m1, d1, dd, prv = (x[kept] for x in (m1, d1, dd, prv))
+    m1, m2, m3 = seeds[:, kept]
+    d1, dd = m2 - m1, m1 - 2 * m2 + m3
+    prv = m1 - d1 + dd                     # the polynomial's value at t = 0
     b2 = 2 * d1 - 3 * dd                   # newton_quadratic's 2b
     shift = -(b2 // (2 * dd))              # QuadraticPoly.canonicalize's s
     key = np.stack([dd, b2 + 2 * dd * shift, 2 * prv + dd * shift * shift + b2 * shift])
@@ -304,10 +315,10 @@ def _trace(angle_at, bitmap, seeds, max_n: int, density: float,
     at[kept], span[kept] = start, size
     mem, drift = np.empty(size.sum(), dtype=np.int64), np.empty(size.sum())
     mem[start] = m1[pick]
-    for col, (sid, ray, step) in enumerate(columns, 1):
+    for col in range(len(columns), 0, -1):    # peak memory: free each column once read
+        sid, ray, step = columns.pop()
         use = col < span[sid]
         mem[at[sid[use]] + col], drift[at[sid[use]] + col] = ray[use], step[use] - TAU
-    del columns                            # peak memory: free the walk first
     code = direction_codes(drift, start + 1, size - 1).tolist()
     direction = [DIRECTIONS[c] for c in code]
     flat, end = (mem, drift), (start + size).tolist()
@@ -319,12 +330,11 @@ def _trace(angle_at, bitmap, seeds, max_n: int, density: float,
 def traced_arms(table: SpiralTable, mem, max_n: int, density: float = 1.0,
                 second_differential=None, longest: bool = False) -> list[Arm]:
     """Arms traced at `density` from `window_seeds(table, mem, max_n)` (of
-    one second differential, when given), as `_trace` dedupes and orders them."""
-    seeds = _seed_arrays(table, mem, max_n)
+    one second differential, when given), as `_keep` dedupes and orders them."""
+    seeds = window_seeds(table, mem, max_n)
     if second_differential is not None:
         seeds = seeds[:, seeds[0] - 2 * seeds[1] + seeds[2] == second_differential]
-    return _trace(lambda ns: table.cum_angle[ns - 1], np.isin(np.arange(max_n + 1), mem),
-                  seeds, max_n, density, longest)
+    return _keep(_walk(table, mem, seeds, max_n, density), longest)
 
 
 def enumerate_arms(table: SpiralTable, group: NumberGroup, max_n: int) -> list[Arm]:

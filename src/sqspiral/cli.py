@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
     mode.add_argument("--square-angles", type=positive_int, metavar="K_MAX")
     mode.add_argument("--same-arm", type=positive_int, metavar="R_MAX")
     mode.add_argument("--crossings", type=int, metavar="WINDING_MAX")
-    mode.add_argument("--winding-distances", type=int, metavar="MAX_N",
+    mode.add_argument("--winding-distances", type=positive_int, metavar="MAX_N",
                       help="winding-distance CSV over all probes")
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.add_argument("--figure", metavar="SVG_PATH",
@@ -172,12 +172,8 @@ def cmd_areas(args, cfg: Config) -> int:
     elif args.winding_distances is not None:
         from .constants import constants_report
         max_n = args.winding_distances
-        if max_n < 1000:
-            raise ValueError("--winding-distances needs MAX_N >= 1000")
         table = _table_for(cfg, max_n)
-        report = constants_report(table, [max_n // 512, max_n // 64,
-                                          max_n // 8, max_n],
-                                  probes=range(1, max_n))
+        report = constants_report(table, probes=range(1, max_n))
         _emit(report.winding_table_csv())
         return EXIT_OK
     else:

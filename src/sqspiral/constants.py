@@ -8,7 +8,7 @@ Richardson extrapolation below exploits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,11 +102,9 @@ def winding_averages(rows, fold_at: int | None = None) -> dict[int, float]:
 
 @dataclass(frozen=True)
 class ConstantsReport:
-    """c2 diagnostics plus the winding-distance reproduction rows."""
+    """The winding-distance reproduction rows."""
 
-    c2_raw_at: dict[int, float]
-    c2_extrapolated: float
-    pi_winding_table: list[WindingRow] = field(default_factory=list)
+    pi_winding_table: list[WindingRow]
 
     def winding_table_csv(self) -> str:
         lines = ["n,m,distance,winding,winding_avg"]
@@ -117,10 +115,5 @@ class ConstantsReport:
         return "\n".join(lines) + "\n"
 
 
-def constants_report(table: SpiralTable, sample_ks, probes) -> ConstantsReport:
-    w_at = {k: table.w(k) for k in sample_ks}
-    return ConstantsReport(
-        c2_raw_at={k: c2_estimate(k, w) for k, w in w_at.items()},
-        c2_extrapolated=c2_extrapolate(w_at),
-        pi_winding_table=winding_distance_table(table, probes=probes),
-    )
+def constants_report(table: SpiralTable, probes) -> ConstantsReport:
+    return ConstantsReport(winding_distance_table(table, probes=probes))

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sqspiral import verify
-from sqspiral.arms import (DIRECTIONS, Arm, NumberGroup, b_hat_lattice_ok,
-                           direction_codes, direction_of, enumerate_arms,
-                           find_arm, in_window, members, parse_group,
-                           trace_arm, verify_rule_5_2, report_csv, report_json,
-                           window_seeds)
+from sqspiral.arms import (DIRECTIONS, MIN_ARM_LEN, Arm, NumberGroup, _keep, _walk,
+                           b_hat_lattice_ok, direction_codes, direction_of,
+                           enumerate_arms, find_arm, in_window, members,
+                           parse_group, trace_arm, verify_rule_5_2, report_csv,
+                           report_json, window_seeds)
 from sqspiral.primes import PRIME_DENSITY
 from sqspiral.ratpoly import QuadraticPoly, newton_quadratic, second_differential
 from sqspiral.table import TAU, table_for, wrap_signed
@@ -69,6 +69,10 @@ def test_trace_rejections(table2000):
     assert _trace(table2000, "div:13", (26, 39, 65), 600) is None
     # a mid-chain seed: its chain is traced from its first triple (22, 77, 154)
     assert _trace(table2000, "div:11", (77, 154, 253), 600) is None
+    # m2 = 78 is not a member: the walk stops at its first step
+    assert _trace(table2000, "div:11", (22, 78, 154), 600) is None
+    # a seed past max_n: no step lies inside 1..max_n
+    assert _trace(table2000, "div:7", (700, 749, 805), 600) is None
     with pytest.raises(ValueError):
         _trace(table2000, "div:7", (14, 49, 105), 5000)
 
@@ -169,14 +173,19 @@ def test_direction_examples(table2000):
 
 
 class _CountingTable:
-    """A table whose angle_of counts its calls."""
+    """A table whose cum_angle counts the elements read from it."""
 
     def __init__(self, table):
-        self.table, self.max_n, self.calls = table, table.max_n, 0
+        self.angles, self.max_n, self.reads = table.cum_angle, table.max_n, 0
 
-    def angle_of(self, n):
-        self.calls += 1
-        return self.table.angle_of(n)
+    @property
+    def cum_angle(self):
+        return self
+
+    def __getitem__(self, index):
+        out = self.angles[index]
+        self.reads += np.size(out)
+        return out
 
 
 def test_trace_reads_each_angle_once(table2000):
@@ -189,7 +198,7 @@ def test_trace_reads_each_angle_once(table2000):
     enumerated = next(a for a in enumerate_arms(table2000, parse_group("div:11"), 600)
                       if a.members == chain)
     assert arm == enumerated and hash(arm) == hash(enumerated)
-    assert counting.calls <= len(chain) + 3
+    assert counting.reads <= len(chain) + 3
     # a prime arm stepping over five composites (171, 501, 993, 1411, 1647)
     prime_arm = (3, 41, 97, 171, 263, 373, 501, 647, 811, 993, 1193, 1411,
                  1647, 1901)
@@ -197,7 +206,7 @@ def test_trace_reads_each_angle_once(table2000):
     arm = trace_arm(counting, set(members(parse_group("primes"), 2000)),
                     prime_arm[:3], 2000, PRIME_DENSITY)
     assert arm.members == prime_arm
-    assert counting.calls <= len(prime_arm) + 3
+    assert counting.reads <= len(prime_arm) + 3
 
 
 def test_prime_arm_trimmed_back_to_its_last_prime(table2000):
@@ -340,7 +349,7 @@ def list_groups(draw):
     edges = [max(1, v) for v in (n, n - 1, n // 4, n // 4 + 1)]
     vals = draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(1, n)),
                          max_size=32))
-    seeds = list(window_seeds(table_for(400), range(1, n + 1), n))
+    seeds = list(zip(*window_seeds(table_for(400), range(1, n + 1), n).tolist()))
     if seeds:
         m1, m2, m3 = draw(st.sampled_from(seeds))
         run = [m1 + k * (m2 - m1) + k * (k - 1) // 2 * (m1 - 2 * m2 + m3)
@@ -360,13 +369,16 @@ def test_enumerate_matches_brute_force_on_random_lists(table400, case):
 
 @pytest.mark.parametrize("spec", ["div:2", "div:3", "primes"])
 def test_each_chain_traced_once(table400, spec):
+    """One walk over every window seed.  `_keep` keeps one arm per polynomial,
+    so no run is walked twice when the seeds whose walk yields an arm are as
+    many as the arms kept; and they are as many as the brute-force runs."""
     group = parse_group(spec)
     mem = members(group, 300)
-    memberset = set(mem)
-    traced = [arm.members for seed in window_seeds(table400, mem, 300)
-              if (arm := trace_arm(table400, memberset, seed, 300)) is not None]
-    assert len(set(traced)) == len(traced)
-    assert len(traced) == len(_brute_force_arms(table400, group, 300))
+    walk = _walk(table400, mem, window_seeds(table400, mem, 300), 300, 1.0)
+    yielded = np.count_nonzero(walk[1] >= MIN_ARM_LEN)   # walk[1]: arm lengths
+    traced = [arm.members for arm in _keep(walk)]
+    assert len(set(traced)) == len(traced) == yielded
+    assert yielded == len(_brute_force_arms(table400, group, 300))
 
 
 @pytest.mark.parametrize("spec", ["div:2", "primes"])
@@ -377,4 +389,4 @@ def test_window_seeds_match_brute_force(table400, spec):
     expected = [(m1, m2, m3) for m1, m2, m3 in itertools.combinations(mem, 3)
                 if m1 <= 75 and m1 - 2 * m2 + m3 > 0
                 and in_window(table400, m1, m2) and in_window(table400, m2, m3)]
-    assert list(window_seeds(table400, mem, 300)) == expected
+    assert list(zip(*window_seeds(table400, mem, 300).tolist())) == expected

@@ -151,6 +151,7 @@ def test_config_file_and_env_cache(tmp_path, capsys, monkeypatch):
     ["primes", "--scan-d", "18", "--t", "10000"],  # sieve over its budget
     ["fib", "--areas", "--count", "984"],  # last band sum is inf
     ["fib", "--areas", "--count", "1479"],  # a band end is past the float range
+    ["areas", "--winding-distances", "0"],
 ])
 def test_non_positive_sizes_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -219,7 +220,7 @@ def test_output_same_with_or_without_cache(tmp_path, capsys, monkeypatch, argv):
     assert {p.name: p.read_bytes() for p in tmp_path.glob("*.svg")} == files
 
 
-@pytest.mark.parametrize("max_n", [1000, 3000])
+@pytest.mark.parametrize("max_n", [1, 500, 1000, 3000])
 def test_winding_rows_name_the_one_turn_ray(tmp_path, capsys, monkeypatch, max_n):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("SQSPIRAL_CACHE", raising=False)

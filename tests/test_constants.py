@@ -180,8 +180,7 @@ def test_archimedean_radius():
 def test_constants_report_csv():
     from sqspiral.constants import constants_report
     table = table_for(2000)
-    report = constants_report(table, [3, 30, 300, 2000], probes=range(1, 500))
-    assert report.c2_raw_at[3] == c2_estimate(3, table.w(3))
+    report = constants_report(table, probes=range(1, 500))
     lines = report.winding_table_csv().splitlines()
     assert lines[0] == "n,m,distance,winding,winding_avg"
     assert lines[2].startswith("2,21,3.168362,2,")

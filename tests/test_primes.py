@@ -126,8 +126,7 @@ def _prime_arms_oracle(table, max_n, density):
     longest arm (the first found on a tie)."""
     bitmap = sieve(max_n).bitmap
     found = {}
-    for m1, m2, m3 in window_seeds(table, [int(i) for i in np.flatnonzero(bitmap)],
-                                   max_n):
+    for m1, m2, m3 in window_seeds(table, np.flatnonzero(bitmap), max_n).T.tolist():
         if m1 - 2 * m2 + m3 != 18:
             continue
         mem, count, end = [m1, m2, m3], 3, 3
