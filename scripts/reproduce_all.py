@@ -30,7 +30,8 @@ def main() -> int:
 
     table = table_for(400)
     report = constants_report(table, probes=[n for n, _, _ in TABLE1_ROWS])
-    (out / "table1.csv").write_text(report.winding_table_csv())
+    with open(out / "table1.csv", "w", encoding="utf-8") as fh:
+        fh.writelines(report.winding_csv_blocks())
 
     group = parse_group("div:7")
     arms = enumerate_arms(table_for(600), group, 600)

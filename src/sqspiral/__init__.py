@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .table import (SpiralTable, RayCoord, CapacityError, build_table,
                     load_table, save_table, segment_angle, stream_cum_angles,
                     table_for, wrap_signed)
-from .constants import (C2_PUBLISHED, ConstantsReport, WindingRow,
+from .constants import (C2_PUBLISHED, ConstantsReport, WindingRows,
                         archimedean_radius, c2_estimate, c2_extrapolate,
                         constants_report, winding_averages,
                         winding_distance_table)

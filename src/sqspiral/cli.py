@@ -161,6 +161,10 @@ def _emit_series(series, args, cfg: Config, companions=()) -> None:
 
 
 def cmd_areas(args, cfg: Config) -> int:
+    if args.winding_distances is not None and (args.format == "json" or args.figure):
+        raise ValueError("--winding-distances writes CSV only: no --format json, no --figure")
+    if args.crossings is not None and (args.format == "csv" or args.figure):
+        raise ValueError("--crossings writes JSON only: no --format csv, no --figure")
     if args.bands is not None:
         series = square_band_ratio_series(args.bands)
     elif args.square_angles is not None:
@@ -172,9 +176,9 @@ def cmd_areas(args, cfg: Config) -> int:
     elif args.winding_distances is not None:
         from .constants import constants_report
         max_n = args.winding_distances
-        table = _table_for(cfg, max_n)
-        report = constants_report(table, probes=range(1, max_n))
-        _emit(report.winding_table_csv())
+        report = constants_report(_table_for(cfg, max_n), probes=range(1, max_n))
+        for block in report.winding_csv_blocks():
+            _emit(block)
         return EXIT_OK
     else:
         table = _table_for(cfg, max(400, 12 * args.crossings ** 2))

@@ -50,30 +50,38 @@ def archimedean_radius(phi: float, c2: float) -> float:
     return 0.5 * phi - 0.5 * c2
 
 
-@dataclass(frozen=True)
-class WindingRow:
-    """One probe of the winding distance: ray m lies ~one full turn past ray n."""
-
-    n: int
-    m: int
-    distance: float
-    winding: int  # winding index of ray m
-    gap: float    # (angle_of(m) - angle_of(n)) - 2*pi
+#: Probe rays per block when the winding-distance CSV is computed and written.
+CSV_BLOCK = 1 << 16
 
 
-def winding_distance_table(table: SpiralTable, probes=None) -> list[WindingRow]:
-    """Winding-distance rows sqrt(m) - sqrt(n) for each probe ray n.
+@dataclass(frozen=True, eq=False)
+class WindingRows:
+    """Winding-distance rows as columns, in probe order: ray m lies ~one full
+    turn past ray n."""
 
-    Ray m > n is the ray nearest angle_of(n) + 2*pi (the first of a tie), for
-    all probes at once.  Default probes are all n >= 1; probes whose target
-    lies past the table end are skipped.  Distances tend to pi as the winding
-    grows.
-    """
-    cum = table.cum_angle
-    n = (np.arange(1, table.max_n + 1) if probes is None
-         else np.fromiter(probes, dtype=np.int64))
+    n: np.ndarray         # int64
+    m: np.ndarray         # int64
+    distance: np.ndarray  # float64, sqrt(m) - sqrt(n)
+    winding: np.ndarray   # int64, winding index of ray m
+    gap: np.ndarray       # float64, (angle_of(m) - angle_of(n)) - 2*pi
+
+    def __len__(self) -> int:
+        return self.n.size
+
+
+def _probe_array(probes) -> np.ndarray:
+    if isinstance(probes, range):
+        return np.arange(probes.start, probes.stop, probes.step, dtype=np.int64)
+    if isinstance(probes, np.ndarray):
+        return probes.astype(np.int64, copy=False)
+    return np.fromiter(probes, dtype=np.int64)
+
+
+def _one_turn(table: SpiralTable, n: np.ndarray) -> WindingRows:
+    """Rows of the probes n whose one-turn target lies within the table."""
     if n.size and not (1 <= n.min() and n.max() <= table.max_n + 1):
         raise IndexError(f"probes outside table range 1..{table.max_n + 1}")
+    cum = table.cum_angle
     n = n[cum[n - 1] + TAU <= cum[-1]]
     start = cum[n - 1]
     target = start + TAU
@@ -83,37 +91,86 @@ def winding_distance_table(table: SpiralTable, probes=None) -> list[WindingRow]:
     m = np.where((j >= n + 1) & (np.abs(cum[j - 1] - target) <= np.abs(cum[j] - target)),
                  j, j + 1)
     end = cum[m - 1]
-    rows = zip(n.tolist(), m.tolist(), (np.sqrt(m) - np.sqrt(n)).tolist(),
-               (1 + end // TAU).astype(np.int64).tolist(),
-               ((end - start) - TAU).tolist())
-    return [WindingRow(*row) for row in rows]
+    return WindingRows(n, m, np.sqrt(m) - np.sqrt(n),
+                       (1 + end // TAU).astype(np.int64), (end - start) - TAU)
 
 
-def winding_averages(rows, fold_at: int | None = None) -> dict[int, float]:
-    """Arithmetic mean distance per winding; windings >= fold_at pool together."""
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for row in rows:
-        w = row.winding if fold_at is None else min(row.winding, fold_at)
-        sums[w] = sums.get(w, 0.0) + row.distance
-        counts[w] = counts.get(w, 0) + 1
-    return {w: sums[w] / counts[w] for w in sorted(sums)}
+def winding_distance_table(table: SpiralTable, probes=None) -> WindingRows:
+    """Winding-distance rows sqrt(m) - sqrt(n) for each probe ray n.
+
+    Ray m > n is the ray nearest angle_of(n) + 2*pi (the first of a tie), for
+    all probes at once.  Default probes are all n >= 1; probes whose target
+    lies past the table end are skipped.  Distances tend to pi as the winding
+    grows.
+    """
+    n = (np.arange(1, table.max_n + 1, dtype=np.int64) if probes is None
+         else _probe_array(probes))
+    return _one_turn(table, n)
 
 
-@dataclass(frozen=True)
+def winding_averages(rows: WindingRows, fold_at: int | None = None) -> dict[int, float]:
+    """Arithmetic mean distance per winding; windings >= fold_at pool together.
+
+    np.bincount adds each bin's weights in row order, as a sequential loop
+    does, so the means are those of Python's float addition row by row.
+    """
+    w = rows.winding if fold_at is None else np.minimum(rows.winding, fold_at)
+    sums, counts = np.bincount(w, weights=rows.distance), np.bincount(w)
+    present = np.flatnonzero(counts)
+    return dict(zip(present.tolist(), (sums[present] / counts[present]).tolist()))
+
+
+def _add_block(sums: np.ndarray, counts: np.ndarray, rows: WindingRows):
+    """Per-winding running sums and counts with one more block of rows added.
+
+    Each bin's running sum enters np.bincount as that bin's first weight
+    (0.0 + carry == carry), so the sums are bit for bit those of one
+    bincount over all rows, however a winding straddles the blocks.
+    """
+    bins = np.arange(sums.size)
+    sums = np.bincount(np.concatenate((bins, rows.winding)),
+                       weights=np.concatenate((sums, rows.distance)))
+    total = np.bincount(rows.winding, minlength=counts.size)
+    total[:counts.size] += counts
+    return sums, total
+
+
+def _probe_blocks(probes):
+    for i in range(0, len(probes), CSV_BLOCK):
+        yield _probe_array(probes[i:i + CSV_BLOCK])
+
+
+@dataclass(frozen=True, eq=False)
 class ConstantsReport:
-    """The winding-distance reproduction rows."""
+    """The winding-distance reproduction rows, computed and written
+    CSV_BLOCK probes at a time, so that no more than one block is held."""
 
-    pi_winding_table: list[WindingRow]
+    table: SpiralTable
+    probes: range | np.ndarray
+    means: np.ndarray  # mean distance per winding index, over every row
 
-    def winding_table_csv(self) -> str:
-        lines = ["n,m,distance,winding,winding_avg"]
-        avgs = winding_averages(self.pi_winding_table)
-        for row in self.pi_winding_table:
-            lines.append(f"{row.n},{row.m},{row.distance:.6f},{row.winding},"
-                         f"{avgs[row.winding]:.7f}")
-        return "\n".join(lines) + "\n"
+    def winding_csv_blocks(self):
+        """CSV n,m,distance,winding,winding_avg: the header, then one string per block."""
+        yield "n,m,distance,winding,winding_avg\n"
+        # each row ends in its winding's "winding,winding_avg", formatted once
+        ends = list(map("{},{:.7f}\n".format, range(self.means.size), self.means.tolist()))
+        for n in _probe_blocks(self.probes):
+            rows = winding_distance_table(self.table, n)
+            # one % for the whole block: the same digits as one format per row
+            cells = [None] * (4 * len(rows))
+            cells[0::4], cells[1::4] = rows.n.tolist(), rows.m.tolist()
+            cells[2::4] = rows.distance.tolist()
+            cells[3::4] = map(ends.__getitem__, rows.winding.tolist())
+            yield "%d,%d,%.6f,%s" * len(rows) % tuple(cells)
 
 
 def constants_report(table: SpiralTable, probes) -> ConstantsReport:
-    return ConstantsReport(winding_distance_table(table, probes=probes))
+    """Take the per-winding means block by block, raising IndexError for a
+    probe outside the table before any row is written; the report's CSV then
+    recomputes each block as it writes it."""
+    if not isinstance(probes, range):
+        probes = _probe_array(probes)
+    sums, counts = np.zeros(0), np.zeros(0, dtype=np.int64)
+    for n in _probe_blocks(probes):
+        sums, counts = _add_block(sums, counts, _one_turn(table, n))
+    return ConstantsReport(table, probes, sums / np.maximum(counts, 1))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,11 +30,15 @@ class AnalysisSeries:
     claimed_limit: float | None = None
     provenance: str | None = None
 
+    @cached_property
+    def _by_index(self) -> dict:
+        return dict(reversed(self.terms))  # the first term of an index wins
+
     def value(self, index: int) -> float:
-        for i, v in self.terms:
-            if i == index:
-                return v
-        raise KeyError(f"{self.label}: no term with index {index}")
+        try:
+            return self._by_index[index]
+        except KeyError:
+            raise KeyError(f"{self.label}: no term with index {index}") from None
 
     def to_csv(self) -> str:
         lines = ["index,value"]

@@ -90,6 +90,11 @@ def test_areas_commands(tmp_path, capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["crossings"] == [2, 18, 54, 110, 186, 282]
     assert doc["poly"] == "10*x^2 - 14*x + 6"
+    # the one format each mode writes may be asked for explicitly
+    assert run(capsys, "areas", "--crossings", "6", "--format", "json") == (EXIT_OK, out, "")
+    code, out, _ = run(capsys, "areas", "--winding-distances", "30")
+    assert run(capsys, "areas", "--winding-distances", "30", "--format", "csv") == (
+        EXIT_OK, out, "")
 
 
 def test_primes_scan(tmp_path, capsys, monkeypatch):
@@ -152,12 +157,18 @@ def test_config_file_and_env_cache(tmp_path, capsys, monkeypatch):
     ["fib", "--areas", "--count", "984"],  # last band sum is inf
     ["fib", "--areas", "--count", "1479"],  # a band end is past the float range
     ["areas", "--winding-distances", "0"],
+    # flags these modes do not honour
+    ["areas", "--winding-distances", "10", "--format", "json"],
+    ["areas", "--winding-distances", "10", "--figure", "w.svg"],
+    ["areas", "--crossings", "3", "--figure", "c.svg"],
+    ["areas", "--crossings", "3", "--format", "csv"],
 ])
 def test_non_positive_sizes_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == "" and "usage error" in err
     assert err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_prime_report_below_two_is_empty(tmp_path, capsys, monkeypatch):

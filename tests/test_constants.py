@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sqspiral import constants
 from sqspiral import table as table_mod
 from sqspiral import verify
-from sqspiral.constants import (C2_PUBLISHED, WindingRow, archimedean_radius,
-                                c2_estimate, c2_extrapolate, winding_averages,
-                                winding_distance_table)
+from sqspiral.constants import (C2_PUBLISHED, archimedean_radius, c2_estimate,
+                                c2_extrapolate, constants_report,
+                                winding_averages, winding_distance_table)
 from sqspiral.table import TAU, SpiralTable
 from sqspiral.table import table_for
 
@@ -53,34 +54,41 @@ def test_c2_extrapolation_rejects_bad_spacing(table400):
 
 
 def test_winding_distance_known_pairs(table400):
-    rows = {r.n: r for r in winding_distance_table(table400, probes=[2, 33])}
-    assert rows[2].m == 21
-    assert rows[2].distance == pytest.approx(3.16836, abs=1e-5)
-    assert rows[2].winding == 2
-    assert rows[33].m == 79
-    assert rows[33].distance == pytest.approx(3.1436, abs=1e-4)
+    rows = winding_distance_table(table400, probes=[2, 33])
+    assert rows.n.tolist() == [2, 33] and rows.m.tolist() == [21, 79]
+    assert rows.distance[0] == pytest.approx(3.16836, abs=1e-5)
+    assert rows.winding[0] == 2
+    assert rows.distance[1] == pytest.approx(3.1436, abs=1e-4)
+
+
+FIELDS = {"n": np.int64, "m": np.int64, "distance": np.float64,
+          "winding": np.int64, "gap": np.float64}
 
 
 def _one_turn_rows(table, probes):
-    """Per-probe oracle: one nearest_ray search per probe ray n."""
-    rows = []
+    """Per-probe oracle: one nearest_ray search per probe ray n; columns."""
+    cols = {field: [] for field in FIELDS}
     for n in probes:
         target = table.angle_of(n) + TAU
         if target > table.w(table.max_n):
             continue
         m = table.nearest_ray(target, lo=n + 1)
-        rows.append(WindingRow(n=n, m=m, distance=math.sqrt(m) - math.sqrt(n),
-                               winding=table.winding(m),
-                               gap=(table.angle_of(m) - table.angle_of(n)) - TAU))
-    return rows
+        for field, value in (("n", n), ("m", m), ("distance", math.sqrt(m) - math.sqrt(n)),
+                             ("winding", table.winding(m)),
+                             ("gap", (table.angle_of(m) - table.angle_of(n)) - TAU)):
+            cols[field].append(value)
+    return {field: np.array(cols[field], dtype=dtype) for field, dtype in FIELDS.items()}
 
 
 def _assert_same_rows(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        for field in ("n", "m", "distance", "winding", "gap"):
-            assert (getattr(g, field), type(getattr(g, field))) == (
-                getattr(w, field), type(getattr(w, field))), (w.n, field)
+    """Column by column: the same dtype and the same values, exactly."""
+    want = want if isinstance(want, dict) else {f: getattr(want, f) for f in FIELDS}
+    assert len(got) == len(want["n"])
+    for field, dtype in FIELDS.items():
+        column = getattr(got, field)
+        assert column.dtype == dtype and want[field].dtype == dtype, field
+        assert column.shape == (len(got),), field
+        assert np.array_equal(column, want[field]), field
 
 
 @pytest.mark.parametrize("max_n, probes", [
@@ -103,12 +111,80 @@ def test_winding_rows_match_oracle_on_drawn_probes(probes):
 
 
 def test_winding_rows_probe_defaults_and_range(table400):
-    assert winding_distance_table(table400) == winding_distance_table(
-        table400, probes=range(1, 401))
-    assert winding_distance_table(table400, probes=[]) == []
-    for bad in ([0], [402], [5, 500]):
+    _assert_same_rows(winding_distance_table(table400),
+                      winding_distance_table(table400, probes=range(1, 401)))
+    _assert_same_rows(winding_distance_table(table400, probes=[]),
+                      _one_turn_rows(table400, []))
+    for bad in ([0], [402], [5, 500], range(0, 10), range(500, 1, -1)):
         with pytest.raises(IndexError):
             winding_distance_table(table400, probes=bad)
+        with pytest.raises(IndexError):
+            constants_report(table400, probes=bad)
+
+
+def _dict_loop_means(rows, fold_at=None):
+    """The per-winding means as a dict adds them, one row after another."""
+    sums, counts = {}, {}
+    for w, d in zip(rows.winding.tolist(), rows.distance.tolist()):
+        w = w if fold_at is None else min(w, fold_at)
+        sums[w] = sums.get(w, 0.0) + d
+        counts[w] = counts.get(w, 0) + 1
+    return {w: sums[w] / counts[w] for w in sorted(sums)}
+
+
+def _assert_same_means(got, want):
+    assert list(got.items()) == list(want.items())  # same keys, order and bits
+    assert all(type(w) is int and type(v) is float for w, v in got.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=2001), max_size=300),
+       st.none() | st.integers(min_value=1, max_value=30))
+def test_winding_means_match_dict_loop_on_drawn_probes(probes, fold_at):
+    rows = winding_distance_table(table_for(2000), probes=probes)
+    _assert_same_means(winding_averages(rows, fold_at=fold_at),
+                       _dict_loop_means(rows, fold_at=fold_at))
+
+
+@pytest.mark.parametrize("fold_at", [None, 5, 40])
+def test_winding_means_match_dict_loop(fold_at):
+    rows = winding_distance_table(table_for(30000), probes=range(1, 26000))
+    _assert_same_means(winding_averages(rows, fold_at=fold_at),
+                       _dict_loop_means(rows, fold_at=fold_at))
+
+
+def _csv_oracle(table, probes):
+    """The CSV as one f-string per row of the per-probe oracle."""
+    cols = _one_turn_rows(table, probes)
+    sums, counts = {}, {}
+    for w, d in zip(cols["winding"].tolist(), cols["distance"].tolist()):
+        sums[w] = sums.get(w, 0.0) + d
+        counts[w] = counts.get(w, 0) + 1
+    lines = ["n,m,distance,winding,winding_avg"]
+    for n, m, d, w in zip(*(cols[f].tolist() for f in ("n", "m", "distance", "winding"))):
+        lines.append(f"{n},{m},{d:.6f},{w},{sums[w] / counts[w]:.7f}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("probes", [range(1, 2000), range(1900, 3, -7),
+                                    [5, 900, 5, 17, 1999, 2000, 2001, 3, 900] * 40, []])
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_csv_blocks_match_one_block(monkeypatch, probes, block):
+    table = table_for(2000)
+    whole = constants_report(table, probes)
+    parts = list(whole.winding_csv_blocks())
+    assert len(parts) == 1 + (len(probes) > 0)  # the header, one block
+    assert "".join(parts) == _csv_oracle(table, probes)
+    monkeypatch.setattr(constants, "CSV_BLOCK", block)
+    split = constants_report(table, probes)
+    blocks = list(split.winding_csv_blocks())
+    assert len(blocks) == 1 + -(-len(probes) // block)
+    assert "".join(blocks) == "".join(parts)
+    # windings straddle the block edges; the carried sums keep every bit
+    assert split.means.tobytes() == whole.means.tobytes()
+    rows = winding_distance_table(table, probes)
+    for w, mean in _dict_loop_means(rows).items():
+        assert split.means[w] == mean
 
 
 def test_suite_constants_builds_no_large_table(monkeypatch):
@@ -131,19 +207,20 @@ def test_suite_constants_builds_no_large_table(monkeypatch):
 
 def test_winding_distance_skips_probes_near_table_end(table400):
     rows = winding_distance_table(table400, probes=[399])
-    assert rows == []
+    _assert_same_rows(rows, _one_turn_rows(table400, []))
 
 
 def test_winding_distance_in_pi_band(table400):
     from sqspiral.published import TABLE1_ROWS
     rows = winding_distance_table(table400, probes=[n for n, _, _ in TABLE1_ROWS])
-    assert all(3.13 < r.distance < 3.17 for r in rows if r.winding >= 2)
+    assert len(rows) == len(TABLE1_ROWS)
+    assert np.all((3.13 < rows.distance) & (rows.distance < 3.17) | (rows.winding < 2))
 
 
 def test_winding_means_pooled():
     table = table_for(30000)
     rows = winding_distance_table(table, probes=range(1, 26000))
-    pooled = [r.distance for r in rows if 10 <= r.winding <= 50]
+    pooled = rows.distance[(10 <= rows.winding) & (rows.winding <= 50)].tolist()
     assert abs(sum(pooled) / len(pooled) - math.pi) <= 2e-4
     avgs = winding_averages(rows)
     assert max(abs(avgs[w] - math.pi) for w in range(10, 51)) <= 4e-4
@@ -178,10 +255,9 @@ def test_archimedean_radius():
 
 
 def test_constants_report_csv():
-    from sqspiral.constants import constants_report
     table = table_for(2000)
     report = constants_report(table, probes=range(1, 500))
-    lines = report.winding_table_csv().splitlines()
+    lines = "".join(report.winding_csv_blocks()).splitlines()
     assert lines[0] == "n,m,distance,winding,winding_avg"
     assert lines[2].startswith("2,21,3.168362,2,")
     assert all(len(line.split(",")) == 5 for line in lines[1:])

@@ -4,7 +4,8 @@ The digests were taken before the arm engines, the angle summation and the
 nearest-ray search were consolidated (the two scan digests before the scan
 moved to integer arithmetic, the two Fibonacci band digests before the band
 sums moved to the asymptotic expansion, the two `arms` digests before the
-arm walk was batched); refactors must leave these outputs
+arm walk was batched, the 200000-probe winding-distance digest before the
+CSV was written in blocks); refactors must leave these outputs
 byte-identical.  The one exception is the winding-distance digest, retaken
 when rows whose one-turn ray lies past the table end were dropped.  The `verify all` report digest lives in test_acceptance.py,
 next to the fixture that already runs every suite.
@@ -45,6 +46,8 @@ CLI_STDOUT = {
         "b440ecf3a741c595e90f50c780c322dd6b1df39995559c5bdced20dd84232a52",
     "areas --winding-distances 3000":  # 2666 rows, none past the table end
         "6e6fb1296f1bb321cfec257b098e0ad02f70e4d7abbf1e78085266ea72fbb4c6",
+    "areas --winding-distances 200000":  # 197,200 rows: several CSV blocks
+        "d8237b331b6e104adb2ea77e1a0d70850b1c4c5354331ecf3f7a5713576162f4",
     "areas --crossings 6":
         "12b89b73c3b984c228c523fb94a786bb78f02093b8ad59dd292ea5918e0e008b",
     "primes --scan-d 18 --t 100":

@@ -170,3 +170,13 @@ def test_series_serialization():
     assert '"final_deviation": 0.25' in series.summary_json()
     with pytest.raises(KeyError):
         series.value(3)
+
+
+def test_series_value_takes_the_first_term_of_an_index():
+    terms = ((3, 0.3), (1, 0.1), (3, 9.9), (2, 0.2), (1, 8.8))
+    series = AnalysisSeries("unordered", terms)
+    assert [series.value(i) for i in (1, 2, 3)] == [0.1, 0.2, 0.3]
+    for missing in (0, 4):
+        with pytest.raises(KeyError, match=f"unordered: no term with index {missing}"):
+            series.value(missing)
+    assert series == AnalysisSeries("unordered", terms)  # the lookup is not a field
