@@ -122,10 +122,10 @@ def test_winding_rows_probe_defaults_and_range(table400):
             constants_report(table400, probes=bad)
 
 
-def _dict_loop_means(rows, fold_at=None):
+def _dict_loop_means(winding, distance, fold_at=None):
     """The per-winding means as a dict adds them, one row after another."""
     sums, counts = {}, {}
-    for w, d in zip(rows.winding.tolist(), rows.distance.tolist()):
+    for w, d in zip(winding.tolist(), distance.tolist()):
         w = w if fold_at is None else min(w, fold_at)
         sums[w] = sums.get(w, 0.0) + d
         counts[w] = counts.get(w, 0) + 1
@@ -143,26 +143,23 @@ def _assert_same_means(got, want):
 def test_winding_means_match_dict_loop_on_drawn_probes(probes, fold_at):
     rows = winding_distance_table(table_for(2000), probes=probes)
     _assert_same_means(winding_averages(rows, fold_at=fold_at),
-                       _dict_loop_means(rows, fold_at=fold_at))
+                       _dict_loop_means(rows.winding, rows.distance, fold_at=fold_at))
 
 
 @pytest.mark.parametrize("fold_at", [None, 5, 40])
 def test_winding_means_match_dict_loop(fold_at):
     rows = winding_distance_table(table_for(30000), probes=range(1, 26000))
     _assert_same_means(winding_averages(rows, fold_at=fold_at),
-                       _dict_loop_means(rows, fold_at=fold_at))
+                       _dict_loop_means(rows.winding, rows.distance, fold_at=fold_at))
 
 
 def _csv_oracle(table, probes):
     """The CSV as one f-string per row of the per-probe oracle."""
     cols = _one_turn_rows(table, probes)
-    sums, counts = {}, {}
-    for w, d in zip(cols["winding"].tolist(), cols["distance"].tolist()):
-        sums[w] = sums.get(w, 0.0) + d
-        counts[w] = counts.get(w, 0) + 1
+    means = _dict_loop_means(cols["winding"], cols["distance"])
     lines = ["n,m,distance,winding,winding_avg"]
     for n, m, d, w in zip(*(cols[f].tolist() for f in ("n", "m", "distance", "winding"))):
-        lines.append(f"{n},{m},{d:.6f},{w},{sums[w] / counts[w]:.7f}")
+        lines.append(f"{n},{m},{d:.6f},{w},{means[w]:.7f}")
     return "\n".join(lines) + "\n"
 
 
@@ -183,7 +180,7 @@ def test_csv_blocks_match_one_block(monkeypatch, probes, block):
     # windings straddle the block edges; the carried sums keep every bit
     assert split.means.tobytes() == whole.means.tobytes()
     rows = winding_distance_table(table, probes)
-    for w, mean in _dict_loop_means(rows).items():
+    for w, mean in _dict_loop_means(rows.winding, rows.distance).items():
         assert split.means[w] == mean
 
 
