@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Run sqspiral CLI commands one process each; one JSON row per command.
 
-Each row gives the command's exit code, the median wall time of --repeat
-runs, the largest peak resident memory of those runs (the child's own
-`ru_maxrss`, as `os.wait4` returns it: what RUSAGE_CHILDREN reads for a lone
-child), and the byte count and sha256 of its stdout, which must be the same
-in every run.  The commands run from an empty temporary directory with
+Each command runs once.  Its row gives the exit code, the wall time, the
+peak resident memory (the child's own `ru_maxrss`, as `os.wait4` returns it:
+what RUSAGE_CHILDREN reads for a lone child), and the byte count and sha256
+of its stdout.  The commands run from an empty temporary directory with
 SQSPIRAL_CACHE unset, so each builds its own table, and import the package
 of this checkout (its src/).  The default ladder is
 
@@ -13,17 +12,17 @@ of this checkout (its src/).  The default ladder is
 
 Run it as, for example,
 
-    python3 scripts/cli_ladder.py --repeat 3
+    python3 scripts/cli_ladder.py
     python3 scripts/cli_ladder.py "areas --winding-distances 1000"
 
-and compare two commits by running each checkout's copy in turn.
+and compare two commits by running a copy of this script from each
+checkout's scripts/ in turn.
 """
 import argparse
 import hashlib
 import json
 import os
 import pathlib
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -54,25 +53,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("commands", nargs="*", metavar="COMMAND",
                         help="sqspiral arguments as one string each, default the ladder")
-    parser.add_argument("--repeat", type=int, default=1,
-                        help="runs per command (default 1)")
     args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be >= 1")
     env = {k: v for k, v in os.environ.items() if k != "SQSPIRAL_CACHE"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     with tempfile.TemporaryDirectory() as cwd:
         for command in args.commands or LADDER:
-            runs = [run_once(command.split(), cwd, env) for _ in range(args.repeat)]
-            codes, walls, peaks, sizes, shas = zip(*runs)
-            if len(set(zip(codes, sizes, shas))) != 1:
-                print(f"{command}: output differs between runs", file=sys.stderr)
-                return 1
-            print(json.dumps({"command": command, "exit": codes[0],
-                              "wall_s": round(statistics.median(walls), 3),
-                              "peak_rss_mib": round(max(peaks), 1),
-                              "stdout_bytes": sizes[0], "stdout_sha256": shas[0],
-                              "runs": args.repeat}), flush=True)
+            code, wall, peak, size, sha = run_once(command.split(), cwd, env)
+            print(json.dumps({"command": command, "exit": code, "wall_s": round(wall, 3),
+                              "peak_rss_mib": round(peak, 1), "stdout_bytes": size,
+                              "stdout_sha256": sha}), flush=True)
     return 0
 
 

@@ -1,11 +1,13 @@
 """Command-line interface: build/cache the table, verification suites, reports.
 
-Exit codes: 0 success, 1 verification failure, 2 I/O error, 64 usage error.
+Exit codes: 0 success (also when the reader of stdout leaves early), 1 verification
+failure, 2 I/O error, 64 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -265,7 +267,14 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args, cfg)
+        code = _COMMANDS[args.command](args, cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left early (`sqspiral ... | head`): stop quietly,
+        # with stdout on devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ValueError, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -152,23 +152,20 @@ class ConstantsReport:
     def winding_csv_blocks(self):
         """CSV n,m,distance,winding,winding_avg: the header, then one string per block."""
         yield "n,m,distance,winding,winding_avg\n"
-        # each row ends in its winding's "winding,winding_avg", formatted once
-        ends = list(map("{},{:.7f}\n".format, range(self.means.size), self.means.tolist()))
         for n in _probe_blocks(self.probes):
             rows = winding_distance_table(self.table, n)
-            # one % for the whole block: the same digits as one format per row
-            cells = [None] * (4 * len(rows))
-            cells[0::4], cells[1::4] = rows.n.tolist(), rows.m.tolist()
-            cells[2::4] = rows.distance.tolist()
-            cells[3::4] = map(ends.__getitem__, rows.winding.tolist())
-            yield "%d,%d,%.6f,%s" * len(rows) % tuple(cells)
+            cols = (rows.n, rows.m, rows.distance, rows.winding, self.means[rows.winding])
+            yield "".join(map("{},{},{:.6f},{},{:.7f}\n".format, *(c.tolist() for c in cols)))
 
 
 def constants_report(table: SpiralTable, probes) -> ConstantsReport:
     """Take the per-winding means block by block, raising IndexError for a
     probe outside the table before any row is written; the report's CSV then
-    recomputes each block as it writes it."""
-    if not isinstance(probes, range):
+    recomputes each block as it writes it.  probes=None means every n >= 1,
+    as in winding_distance_table."""
+    if probes is None:
+        probes = range(1, table.max_n + 1)
+    elif not isinstance(probes, range):
         probes = _probe_array(probes)
     sums, counts = np.zeros(0), np.zeros(0, dtype=np.int64)
     for n in _probe_blocks(probes):

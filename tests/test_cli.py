@@ -1,5 +1,8 @@
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -245,3 +248,21 @@ def test_winding_rows_name_the_one_turn_ray(tmp_path, capsys, monkeypatch, max_n
     # every probe whose one-turn angle the table reaches has a row, no other
     reach = [n for n in range(1, max_n) if big[n - 1] + TAU <= big[max_n]]
     assert [int(n) for n, *_ in rows] == reach
+
+
+def test_reader_leaving_early_is_not_an_error(tmp_path):
+    """`sqspiral areas --winding-distances N | head`: the CSV goes out block by
+    block, and a reader that closes the pipe after its first line ends the
+    run with exit 0 and nothing on stderr."""
+    from sqspiral.constants import CSV_BLOCK
+    n = 3 * CSV_BLOCK  # several blocks, so writes follow the close
+    env = {k: v for k, v in os.environ.items() if k != "SQSPIRAL_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(pathlib.Path(cli.__file__).parents[1]), env.get("PYTHONPATH"))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sqspiral.cli", "areas", "--winding-distances", str(n)],
+        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"n,m,distance,winding,winding_avg\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (EXIT_OK, b"")

@@ -258,6 +258,9 @@ def test_constants_report_csv():
     assert lines[0] == "n,m,distance,winding,winding_avg"
     assert lines[2].startswith("2,21,3.168362,2,")
     assert all(len(line.split(",")) == 5 for line in lines[1:])
+    # probes=None is every n >= 1, winding_distance_table's default
+    every = "".join(constants_report(table, None).winding_csv_blocks())
+    assert every == _csv_oracle(table, range(1, table.max_n + 1))
 
 
 def test_archimedean_tracks_radii():
