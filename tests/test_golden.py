@@ -5,7 +5,8 @@ nearest-ray search were consolidated (the two scan digests before the scan
 moved to integer arithmetic, the two Fibonacci band digests before the band
 sums moved to the asymptotic expansion, the two `arms` digests before the
 arm walk was batched, the 200000-probe winding-distance digest before the
-CSV was written in blocks); refactors must leave these outputs
+CSV was written in blocks, the five `arms` digests below div:7's before the
+arm writers formatted from integer columns); refactors must leave these outputs
 byte-identical.  The one exception is the winding-distance digest, retaken
 when rows whose one-turn ray lies past the table end were dropped.  The `verify all` report digest lives in test_acceptance.py,
 next to the fixture that already runs every suite.
@@ -63,6 +64,16 @@ CLI_STDOUT = {
         "5dc34de9e39802c4db10a85468773ccac5b6ed7d2e66323c68413af4852c95f0",
     "arms --group div:7 --n 4000 --format json":
         "f0c416a8eb7c6522f1885e2a4a9362198c065129b3fbaa6030c67b3814a01418",
+    "arms --group div:2 --n 1200 --format json":  # 39 MB: many JSON blocks
+        "26ebe1332e08b282bbfdd23c46380e5d54aab21552122b62f9f8fbbda274f315",
+    "arms --group div:2 --n 1200 --format csv":
+        "cc1476dffda6575bc095f27d38a422433b26ed8625ae7191bc5588baad8d4346",
+    "arms --group squares --n 100000 --format json":  # rule_5_2 is null
+        "7f83ddf360b7a43b787d4588bfdc02ae8b022275356f5505b7f17ffbd02bf483",
+    "arms --group fib --n 5000 --format json":  # no arms
+        "4e6f61eb374a0512fb33d420820d493fde8dbc8a278d797c3c76046f54ae3eb8",
+    "arms --group fib --n 5000 --format csv":
+        "925119497183e764aaeee9bfc40f8156c8e7bc8c61391695cdeb11f4cb8f59b5",
 }
 
 RENDER_SQUARES_300 = "f0cc2db36f4bf352072957cda81391cc96057547aee7f74bec2ea81d8a4c9227"
