@@ -3,9 +3,9 @@
 
 The ladder is div:7 at n = 2000, 4000 and 8000, div:2 at n = 600 and 1200,
 and div:3 at n = 2000.  Each row gives the arm count and the medians of
---repeat timed calls of `enumerate_arms`, then `classify_systems` and
-`report_json` on its arms, so work an arm defers until it is read shows
-where it is paid; the angle table is built before the clock starts.
+--repeat timed calls of `enumerate_arms`, then `classify_systems`,
+`report_json` and `report_csv` on its arms, so work an arm defers until it
+is read shows where it is paid; the angle table is built before the clock starts.
 Run it with the package importable, for example
 
     PYTHONPATH=src python3 scripts/arm_ladder.py --repeat 3
@@ -18,7 +18,8 @@ import statistics
 import sys
 import time
 
-from sqspiral.arms import classify_systems, enumerate_arms, parse_group, report_json
+from sqspiral.arms import (classify_systems, enumerate_arms, parse_group, report_csv,
+                           report_json)
 from sqspiral.table import table_for
 
 LADDER = (("div:7", 2000), ("div:7", 4000), ("div:7", 8000),
@@ -42,9 +43,12 @@ def main(argv=None) -> int:
             report = classify_systems(arms, group, n)
             t2 = time.perf_counter()
             report_json(report)
-            times.append((t1 - t0, t2 - t1, time.perf_counter() - t2))
+            t3 = time.perf_counter()
+            report_csv(report)
+            times.append((t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3))
         row = {"group": spec, "n": n, "arms": len(arms)}
-        for name, col in zip(("enumerate_s", "classify_s", "report_json_s"), zip(*times)):
+        for name, col in zip(("enumerate_s", "classify_s", "report_json_s", "report_csv_s"),
+                             zip(*times)):
             row[name] = round(statistics.median(col), 4)
         print(json.dumps({**row, "calls": args.repeat}), flush=True)
     return 0

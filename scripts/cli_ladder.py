@@ -8,7 +8,8 @@ of its stdout.  The commands run from an empty temporary directory with
 SQSPIRAL_CACHE unset, so each builds its own table, and import the package
 of this checkout (its src/).  The default ladder is
 
-    areas --winding-distances 200000 / 2000000 / 6000000, verify all
+    areas --winding-distances 200000 / 2000000 / 6000000, verify all,
+    arms --group div:2 --n 1200 --format json / csv
 
 Run it as, for example,
 
@@ -30,7 +31,8 @@ import time
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 LADDER = ("areas --winding-distances 200000", "areas --winding-distances 2000000",
-          "areas --winding-distances 6000000", "verify all")
+          "areas --winding-distances 6000000", "verify all",
+          "arms --group div:2 --n 1200 --format json", "arms --group div:2 --n 1200 --format csv")
 
 
 def run_once(argv, cwd, env):

@@ -13,13 +13,13 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, repeat
 from fractions import Fraction
 
 import numpy as np
 
 from .table import TAU, SpiralTable
-from .ratpoly import QuadraticPoly
+from .ratpoly import QuadraticPoly, half_strs, poly_str
 
 WINDOW_LO = math.pi        # winding window: advance in (2*pi - pi, 2*pi + pi)
 WINDOW_HI = 3.0 * math.pi
@@ -87,12 +87,6 @@ def members(group: NumberGroup, max_n: int) -> list[int]:
     raise ValueError(f"unknown group kind {group.kind!r}")
 
 
-def _doubled(poly: QuadraticPoly):
-    """(2a, 2b, 2c) as ints, an arm polynomial's key; None if one is not an int."""
-    key = [2 * Fraction(q) for q in (poly.a, poly.b, poly.c)]
-    return None if any(q.denominator != 1 for q in key) else tuple(map(int, key))
-
-
 #: Direction names by code, in the order the names sort.
 DIRECTIONS = ("N", "P", "indeterminate")
 
@@ -117,7 +111,7 @@ class Arm:
 
     def __init__(self, members, poly: QuadraticPoly, start_t: int, drifts,
                  direction: str):
-        key = _doubled(poly)
+        key = poly.doubled()
         if key is None:
             raise ValueError(f"{poly} has a coefficient that is not a half-integer")
         self._row = (*key, start_t, direction, 0, len(members), 0, len(drifts))
@@ -139,7 +133,7 @@ class Arm:
     @property
     def poly(self) -> QuadraticPoly:
         """Canonical: b in [0, 2a); poly(start_t + i) == members[i]."""
-        return QuadraticPoly(*(Fraction(q, 2) for q in self._row[:3]))
+        return QuadraticPoly.halves(*self._row[:3])
 
     @property
     def start_t(self) -> int:
@@ -392,7 +386,7 @@ def classify_systems(arms, group: NumberGroup, max_n: int) -> SystemReport:
 def find_arm(arms, poly: QuadraticPoly):
     """The arm with canonical polynomial `poly` among `arms` in canonical
     (a, b, c) order, as `enumerate_arms` returns them; None if there is none."""
-    key = _doubled(poly)
+    key = poly.doubled()
     i = bisect_left(arms, key, key=lambda arm: arm._row[:3]) if key else len(arms)
     return arms[i] if i < len(arms) and arms[i]._row[:3] == key else None
 
@@ -420,46 +414,95 @@ def verify_rule_5_2(report: SystemReport):
     return out
 
 
-def _arm_json(arm: Arm) -> dict:
-    poly = arm.poly
-    return {"members": list(arm.members), "poly": str(poly),
-            "canonical": {"a": str(poly.a), "b_hat": str(poly.b), "c": str(poly.c)},
-            "start_t": arm.start_t, "direction": arm.direction,
-            "drifts": [round(d, 9) for d in arm.drifts]}
+#: Arms per block when an arm report is written.
+REPORT_BLOCK = 1 << 12
+
+_ARM_JSON = ('    {{\n      "canonical": {{\n        "a": "{}",\n        "b_hat": "{}",\n'
+             '        "c": "{}"\n      }},\n      "direction": "{}",\n      "drifts": {},\n'
+             '      "members": {},\n      "poly": "{}",\n      "start_t": {}\n    }}').format
 
 
-def report_json(report: SystemReport) -> str:
+def _json_list(cells) -> str:
+    """A list of JSON values as json.dumps(indent=2) writes it six spaces in."""
+    return "[\n        " + ",\n        ".join(cells) + "\n      ]" if cells else "[]"
+
+
+def _drift_text(drift: np.ndarray) -> list:
+    """json.dumps(round(d, 9)) of each drift d.  For 2e-4 <= |d| < 1e6 that is
+    '%.9f' % d less its trailing zeros: both round d correctly to nine places,
+    and no shorter decimal lies within the two ulps (< 1e-9) of the same
+    double.  Other drifts, and those that round to a whole number, take json."""
+    vals, size = drift.tolist(), np.abs(drift)
+    text = list(map(str.rstrip, map("{:.9f}".format, vals), repeat("0")))
+    with np.errstate(invalid="ignore"):    # inf - inf
+        odd = ~((size >= 2e-4) & (size < 1e6)) | (np.abs(drift - np.round(drift)) < 1e-9)
+    for i in np.flatnonzero(odd).tolist():
+        text[i] = json.dumps(round(vals[i], 9))
+    return text
+
+
+def _span_text(values: np.ndarray, lo, hi, text) -> list:
+    """text(values[lo[i]:hi[i]] for every i, in one call), cut back into one
+    list per span."""
+    lo, hi = np.array(lo), np.array(hi)
+    cells, ends = text(values[_ranges(lo, hi)[1]]), np.cumsum(hi - lo).tolist()
+    return [cells[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _arm_blocks(arms, drifts: bool):
+    """The arms in blocks of at most REPORT_BLOCK arms of one walk, as columns:
+    D, then a, b_hat and c as text, start_t, direction, and per arm the list
+    of its members as str and, with `drifts`, (that, the list of its drifts
+    as `_drift_text`)."""
+    for _, run in groupby(arms, key=lambda arm: id(arm._flat)):
+        run = list(run)
+        for i in range(0, len(run), REPORT_BLOCK):
+            dd, b2, c2, start_t, direction, lo, hi, d_lo, d_hi = zip(
+                *(arm._row for arm in run[i:i + REPORT_BLOCK]))
+            mem, drift = run[i]._flat
+            cells = _span_text(mem, lo, hi, lambda v: list(map(str, v.tolist())))
+            if drifts:
+                cells = cells, _span_text(drift, d_lo, d_hi, _drift_text)
+            yield (dd, *map(half_strs, (dd, b2, c2)), start_t, direction, cells)
+
+
+def report_json_blocks(report: SystemReport):
+    """The report as json.dumps(indent=2, sort_keys=True) writes its document,
+    in blocks: the arms' are written here, the small tail by json."""
     rule = verify_rule_5_2(report)
-    doc = {
+    tail = json.dumps({
         "group": str(report.group),
         "max_n": report.max_n,
-        "arms": [_arm_json(a) for a in report.arms],
         "systems": {
-            d: [
-                {
-                    "D": cl.second_differential,
-                    "count": cl.count,
-                    "b_hats": [str(b) for b in cl.b_hats],
-                }
-                for cl in report.clusters if cl.direction == d
-            ]
+            d: [{"D": cl.second_differential, "count": cl.count,
+                 "b_hats": [str(b) for b in cl.b_hats]}
+                for cl in report.clusters if cl.direction == d]
             for d in ("N", "P")
         },
         "mixed_d": report.directions_mixed(),
-        "rule_5_2": (
-            None if rule is None else
-            {d: {str(dd): ok for dd, ok in sorted(per.items())}
-             for d, per in rule.items()}
-        ),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        "rule_5_2": (None if rule is None else
+                     {d: {str(dd): ok for dd, ok in sorted(per.items())}
+                      for d, per in rule.items()}),
+    }, indent=2, sort_keys=True)
+    first = True
+    for _, a, b, c, start_t, direction, (members, drifts) in _arm_blocks(report.arms, True):
+        yield ('{\n  "arms": [\n' if first else ",\n") + ",\n".join(map(
+            _ARM_JSON, a, b, c, direction, map(_json_list, drifts),
+            map(_json_list, members), map(poly_str, a, b, c), start_t))
+        first = False
+    yield ('{\n  "arms": [],' if first else "\n  ],") + tail[1:] + "\n"
+
+
+def report_csv_blocks(report: SystemReport):
+    yield "direction,D,a,b_hat,c,start_t,len,members\n"
+    for dd, a, b, c, start_t, direction, members in _arm_blocks(report.arms, False):
+        yield "".join(map("{},{},{},{},{},{},{},{}\n".format, direction, dd, a, b, c,
+                          start_t, map(len, members), map(" ".join, members)))
+
+
+def report_json(report: SystemReport) -> str:
+    return "".join(report_json_blocks(report))
 
 
 def report_csv(report: SystemReport) -> str:
-    lines = ["direction,D,a,b_hat,c,start_t,len,members"]
-    for a in report.arms:
-        poly, mem = a.poly, a.members
-        lines.append(
-            f"{a.direction},{a.second_differential},{poly.a},{poly.b},"
-            f"{poly.c},{a.start_t},{len(mem)}," + " ".join(str(m) for m in mem))
-    return "\n".join(lines) + "\n"
+    return "".join(report_csv_blocks(report))

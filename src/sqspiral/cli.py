@@ -6,6 +6,7 @@ failure, 2 I/O error, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -45,7 +46,9 @@ def positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built on the first call and reused by every later `main`."""
     parser = _Parser(prog="sqspiral", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="config file (default ./spiral.conf)")
@@ -143,8 +146,9 @@ def cmd_arms(args, cfg: Config) -> int:
     found = arms_mod.enumerate_arms(table, group, max_n)
     report = arms_mod.classify_systems(found, group, max_n)
     fmt = args.format or cfg.output
-    _emit(arms_mod.report_json(report) if fmt == "json"
-          else arms_mod.report_csv(report))
+    blocks = arms_mod.report_json_blocks if fmt == "json" else arms_mod.report_csv_blocks
+    for block in blocks(report):
+        _emit(block)
     return EXIT_OK
 
 
@@ -215,14 +219,7 @@ def cmd_primes(args, cfg: Config) -> int:
     else:
         max_n = args.n or cfg.max_n
         table = _table_for(cfg, max_n)
-        arms = primes_mod.prime_arm_report(table, max_n)
-        lines = ["a,b_hat,c,len,prime_count,density,coprime6,members"]
-        for a in arms:
-            lines.append(f"{a.poly.a},{a.poly.b},{a.poly.c},{len(a.members)},"
-                         f"{a.prime_count},{a.density:.4f},"
-                         f"{str(a.coprime6).lower()},"
-                         + " ".join(str(m) for m in a.members))
-        _emit("\n".join(lines) + "\n")
+        _emit(primes_mod.arm_report_csv(primes_mod.prime_arm_report(table, max_n)))
     return EXIT_OK
 
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .table import SpiralTable
-from .ratpoly import QuadraticPoly
+from .ratpoly import QuadraticPoly, half_strs
 from .arms import NumberGroup, members, traced_arms
 
 SIEVE_CAPACITY = 1 << 28
@@ -56,17 +56,26 @@ def coprime6_check(poly: QuadraticPoly) -> bool:
     """
     if not poly.is_integer_valued():
         raise ValueError("coprime6_check needs an integer-valued polynomial")
-    a2, b2, c2 = (2 * q.numerator // q.denominator for q in (poly.a, poly.b, poly.c))
-    values = ((a2 * t * t + b2 * t + c2) // 2 for t in range(1, 13))
-    return all(v % 2 and v % 3 for v in values)
+    a2, b2, c2 = (q % 12 for q in poly.doubled())   # fix the values mod 6
+    t = np.arange(1, 13)[:, None]
+    return bool(_coprime6((a2 * t * t + b2 * t + c2) // 2))
 
 
-@dataclass(frozen=True)
-class PolyDensityRow:
-    poly: QuadraticPoly
+def _coprime6(values: np.ndarray) -> np.ndarray:
+    """Per column of `values`, an integer-valued quadratic's values at
+    t = 1..12 down the rows: True iff none is divisible by 2 or 3."""
+    return ((values % 2 != 0) & (values % 3 != 0)).all(axis=0)
+
+
+class PolyDensityRow(NamedTuple):
+    key: tuple                    # the canonical polynomial's (D, 2b, 2c)
     sample_count: int
     prime_count: int
     coprime6: bool
+
+    @property
+    def poly(self) -> QuadraticPoly:
+        return QuadraticPoly.halves(*self.key)
 
     @property
     def density(self) -> float:
@@ -79,30 +88,30 @@ def scan_prime_polys(second_differential: int, c_range, sample_count: int = 100
     density over t = 1..sample_count.
 
     Enumerates the integer-valued polynomials, 2b in [0, 2D) with the parity
-    of D = second_differential and c over c_range, keeping those with
-    positive values; ties in density break on canonical (a, b, c) order.
+    of D = second_differential and c over the distinct values of c_range,
+    keeping those with positive values; ties in density break on canonical
+    (a, b, c) order.
     """
     if sample_count < 50:
         raise ValueError("sample_count must be >= 50")
-    if not c_range:
+    cs = np.unique(np.fromiter(c_range, dtype=np.int64))
+    if not cs.size:
         raise ValueError(f"scan needs a non-empty c range, got {c_range!r}")
     d = second_differential
-    c_lo, c_hi = min(c_range), max(c_range)
     bitmap = sieve(max(d * sample_count * sample_count // 2 + d * sample_count
-                       + abs(c_hi) + abs(c_lo) + 1, 2)).bitmap
-    t = np.arange(1, sample_count + 1, dtype=np.int64)
-    rows = []
+                       + abs(int(cs[-1])) + abs(int(cs[0])) + 1, 2)).bitmap
+    t = np.arange(1, sample_count + 1, dtype=np.int64)[:, None]
+    cols = []
     for b2 in range(d % 2, 2 * d, 2):
         # values rise with t (b >= 0), so a row is positive iff its t=1 value is
         base = (d * t * t + b2 * t) // 2
-        for c in range(max(c_lo, 1 - int(base[0])), c_hi + 1):
-            poly = QuadraticPoly(Fraction(d, 2), Fraction(b2, 2), c)
-            rows.append(PolyDensityRow(
-                poly=poly, sample_count=sample_count,
-                prime_count=int(np.count_nonzero(bitmap[base + c])),
-                coprime6=coprime6_check(poly)))
-    rows.sort(key=lambda r: (-r.prime_count, r.poly.b, r.poly.c))
-    return rows
+        c = cs[cs >= 1 - base[0, 0]]
+        cols.append((np.full(c.size, b2), 2 * c, np.count_nonzero(bitmap[base + c], axis=0),
+                     _coprime6(base[:12] + c)))
+    b2, c2, count, ok = map(np.concatenate, zip(*cols))
+    order = np.lexsort((c2, b2, -count))
+    return [PolyDensityRow((d, b, c), sample_count, n, y) for b, c, n, y in
+            zip(*(col[order].tolist() for col in (b2, c2, count, ok)))]
 
 
 def pnt_baseline(second_differential: int, sample_count: int) -> float:
@@ -111,17 +120,20 @@ def pnt_baseline(second_differential: int, sample_count: int) -> float:
     return 1.0 / math.log(a * sample_count * sample_count)
 
 
-@dataclass(frozen=True)
-class PrimeArm:
+class PrimeArm(NamedTuple):
     members: tuple
-    poly: QuadraticPoly           # canonical
+    key: tuple                    # the canonical polynomial's (D, 2b, 2c)
     prime_count: int
     density: float
     coprime6: bool
 
     @property
+    def poly(self) -> QuadraticPoly:
+        return QuadraticPoly.halves(*self.key)
+
+    @property
     def second_differential(self) -> int:
-        return int(2 * self.poly.a)
+        return self.key[0]
 
 
 def prime_arm_report(table: SpiralTable, max_n: int) -> list[PrimeArm]:
@@ -131,21 +143,27 @@ def prime_arm_report(table: SpiralTable, max_n: int) -> list[PrimeArm]:
     arms rank by density, then polynomial.  No primes below 2, no arms.
     """
     ps = members(NumberGroup("primes"), max_n)
-    primeset = set(ps)
-    found = []
-    for arm in traced_arms(table, ps, max_n, PRIME_DENSITY,
-                           second_differential=18, longest=True):
-        mem, poly = arm.members, arm.poly
-        count = sum(m in primeset for m in mem)
-        found.append(PrimeArm(
-            members=mem, poly=poly, prime_count=count,
-            density=count / len(mem), coprime6=coprime6_check(poly)))
-    return sorted(found, key=lambda r: (-r.density, r.poly.a, r.poly.b, r.poly.c))
+    arms = traced_arms(table, ps, max_n, PRIME_DENSITY, second_differential=18,
+                       longest=True)
+    if not arms:
+        return []
+    dd, b2, c2, start, end = np.array([arm._row[:3] + arm._row[5:7] for arm in arms]).T
+    # `_keep` lays the arms' members out back to back, in arm order
+    count = np.add.reduceat(np.isin(arms[0]._flat[0], ps), start, dtype=np.int64)
+    density, t = count / (end - start), np.arange(1, 13)[:, None]
+    ok = _coprime6((dd * t * t + b2 * t + c2) // 2)
+    order = np.lexsort((c2, b2, dd, -density)).tolist()
+    return [PrimeArm(arms[i].members, (d, b, c), n, x, y) for i, d, b, c, n, x, y in
+            zip(order, *(col[order].tolist() for col in (dd, b2, c2, count, density, ok)))]
 
 
 def scan_csv(rows) -> str:
-    lines = ["a,b_hat,c,T,prime_count,density,coprime6"]
-    for r in rows:
-        lines.append(f"{r.poly.a},{r.poly.b},{r.poly.c},{r.sample_count},"
-                     f"{r.prime_count},{r.density:.6f},{str(r.coprime6).lower()}")
-    return "\n".join(lines) + "\n"
+    return "a,b_hat,c,T,prime_count,density,coprime6\n" + "".join(
+        f"{','.join(half_strs(r.key))},{r.sample_count},{r.prime_count},"
+        f"{r.density:.6f},{str(r.coprime6).lower()}\n" for r in rows)
+
+
+def arm_report_csv(arms) -> str:
+    return "a,b_hat,c,len,prime_count,density,coprime6,members\n" + "".join(
+        f"{','.join(half_strs(a.key))},{len(a.members)},{a.prime_count},{a.density:.4f},"
+        f"{str(a.coprime6).lower()},{' '.join(map(str, a.members))}\n" for a in arms)

@@ -99,14 +99,29 @@ class QuadraticPoly:
         s = int(s)
         return self.shift(s), s
 
+    @classmethod
+    def halves(cls, a2: int, b2: int, c2: int) -> "QuadraticPoly":
+        """The polynomial with doubled coefficients (a2, b2, c2)."""
+        return cls(Fraction(a2, 2), Fraction(b2, 2), Fraction(c2, 2))
+
+    def doubled(self):
+        """(2a, 2b, 2c) as ints, the inverse of `halves`; None if one is not an int."""
+        key = (2 * self.a, 2 * self.b, 2 * self.c)
+        return None if any(q.denominator != 1 for q in key) else tuple(map(int, key))
+
     def __str__(self) -> str:
-        def coeff(q: Fraction) -> str:
-            return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return poly_str(str(self.a), str(self.b), str(self.c))
 
-        def signed(q: Fraction) -> str:
-            return f"- {coeff(-q)}" if q < 0 else f"+ {coeff(q)}"
 
-        return f"{coeff(self.a)}*x^2 {signed(self.b)}*x {signed(self.c)}"
+def half_strs(doubled) -> list:
+    """str(Fraction(q2, 2)) of each int q2 in `doubled`, with no Fraction built."""
+    return [f"{q2 >> 1}" if q2 & 1 == 0 else f"{q2}/2" for q2 in doubled]
+
+
+def poly_str(a: str, b: str, c: str) -> str:
+    """str(QuadraticPoly) from the str of its three coefficients."""
+    return (f"{a}*x^2 {'- ' + b[1:] if b[0] == '-' else '+ ' + b}*x "
+            f"{'- ' + c[1:] if c[0] == '-' else '+ ' + c}")
 
 
 _TERM = r"([+-]?\s*\d+(?:/\d+|\.\d+)?)"

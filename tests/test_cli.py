@@ -266,3 +266,37 @@ def test_reader_leaving_early_is_not_an_error(tmp_path):
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(timeout=120), err) == (EXIT_OK, b"")
+
+
+def test_parser_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    """One process calls main again and again: each call prints (and writes)
+    what it prints with a freshly built parser, so nothing one call parses,
+    such as render's appended --group list or a usage error, reaches the next."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SQSPIRAL_CACHE", raising=False)
+    calls = [
+        ("render", "--n", "300", "--group", "squares", "--arms", "--out", "a.svg"),
+        ("render", "--n", "300", "--out", "b.svg"),
+        ("arms", "--group", "div:7", "--n", "300", "--format", "json"),
+        ("arms", "--group", "div:7", "--n", "300", "--format", "xml"),
+        ("arms", "--group", "div:7", "--n", "300"),
+        ("render", "--n", "300", "--group", "div:7", "--out", "c.svg"),
+    ]
+
+    def outcome(argv):
+        code, out, err = run(capsys, *argv)
+        svg = (tmp_path / argv[-1]).read_bytes() if "--out" in argv else None
+        return code, out, err, svg
+
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli._build_parser.cache_clear()
+    parser = cli._build_parser()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert cli._build_parser() is parser
+    assert [code for code, *_ in fresh] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_USAGE,
+                                            EXIT_OK, EXIT_OK]
+    assert fresh[0][3] != fresh[1][3]          # the squares markers stay in a.svg
+    assert parser.parse_args(["render", "--out", "d.svg"]).group == []

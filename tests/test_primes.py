@@ -42,6 +42,9 @@ def test_coprime6_examples():
     assert coprime6_check(QuadraticPoly(9, 27, 17))
     assert not coprime6_check(QuadraticPoly(9, 6, 1))      # value 16 at t=1
     assert not coprime6_check(QuadraticPoly(1, 0, 0))
+    # past 64 bits: only the doubled coefficients mod 12 matter
+    assert coprime6_check(QuadraticPoly(9 + 6 * 10**30, 27 - 6 * 10**40, 17 + 6 * 10**25))
+    assert not coprime6_check(QuadraticPoly(9 + 10**30, 27, 17))
     with pytest.raises(ValueError):
         coprime6_check(QuadraticPoly(Fr(1, 2), 0, 0))
 
@@ -87,6 +90,20 @@ def test_scan_lists_each_integer_valued_poly_once(d):
         assert r.poly.a == Fr(d, 2) and r.poly.is_integer_valued()
         assert r.prime_count == sum(trial_division(int(r.poly(t)))
                                     for t in range(1, 51))
+
+
+@pytest.mark.parametrize("c_range", [range(-10, 20, 5), [7, -3], [7, -3, 7, 0],
+                                     range(19, -11, -3)])
+def test_scan_takes_exactly_the_given_c(c_range):
+    """A stepped range or an unsorted list scans its own values of c, no
+    others: the rows are those of one scan per c, ranked together."""
+    rows = scan_prime_polys(18, c_range, 60)
+    assert {r.poly.c for r in rows} <= set(c_range)
+    single = sorted((r for c in set(c_range) for r in scan_prime_polys(18, [c], 60)),
+                    key=lambda r: (-r.prime_count, r.poly.b, r.poly.c))
+    assert rows == single
+    assert len(scan_prime_polys(18, range(-10, 20, 5), 60)) == sum(
+        1 for b2 in range(0, 36, 2) for c in range(-10, 20, 5) if (18 + b2) // 2 + c >= 1)
 
 
 def test_scan_all_even_poly_has_no_primes():
