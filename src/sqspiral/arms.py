@@ -331,6 +331,16 @@ def traced_arms(table: SpiralTable, mem, max_n: int, density: float = 1.0,
     return _keep(_walk(table, mem, seeds, max_n, density), longest)
 
 
+def arm_columns(arms: list[Arm], bitmap: np.ndarray):
+    """The arms of one `traced_arms` call as int64 columns: D, 2b, 2c, the
+    length, and the count of members that `bitmap` marks (one reduceat over
+    the walk's flat member array, which holds the arms back to back)."""
+    rows = np.array([arm._row[:3] + arm._row[5:7] for arm in arms], dtype=np.int64)
+    dd, b2, c2, start, end = rows.reshape(-1, 5).T
+    marked = np.add.reduceat(bitmap[arms[0]._flat[0]], start, dtype=np.int64) if arms else start
+    return dd, b2, c2, end - start, marked
+
+
 def enumerate_arms(table: SpiralTable, group: NumberGroup, max_n: int) -> list[Arm]:
     """All distinct exact arms reachable from window seeds, in canonical
     (a, b, c) order; a shared polynomial keeps the first in seed order."""

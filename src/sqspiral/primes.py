@@ -15,7 +15,7 @@ import numpy as np
 
 from .table import SpiralTable
 from .ratpoly import QuadraticPoly, half_strs
-from .arms import NumberGroup, members, traced_arms
+from .arms import arm_columns, traced_arms
 
 SIEVE_CAPACITY = 1 << 28
 PRIME_DENSITY = 0.6           # least prime share of a prime arm
@@ -142,15 +142,13 @@ def prime_arm_report(table: SpiralTable, max_n: int) -> list[PrimeArm]:
     The longest arm per canonical polynomial is kept (the first on a tie);
     arms rank by density, then polynomial.  No primes below 2, no arms.
     """
-    ps = members(NumberGroup("primes"), max_n)
-    arms = traced_arms(table, ps, max_n, PRIME_DENSITY, second_differential=18,
-                       longest=True)
-    if not arms:
+    if max_n < 2:
         return []
-    dd, b2, c2, start, end = np.array([arm._row[:3] + arm._row[5:7] for arm in arms]).T
-    # `_keep` lays the arms' members out back to back, in arm order
-    count = np.add.reduceat(np.isin(arms[0]._flat[0], ps), start, dtype=np.int64)
-    density, t = count / (end - start), np.arange(1, 13)[:, None]
+    bitmap = sieve(max_n).bitmap
+    arms = traced_arms(table, np.flatnonzero(bitmap), max_n, PRIME_DENSITY,
+                       second_differential=18, longest=True)
+    dd, b2, c2, size, count = arm_columns(arms, bitmap)
+    density, t = count / size, np.arange(1, 13)[:, None]
     ok = _coprime6((dd * t * t + b2 * t + c2) // 2)
     order = np.lexsort((c2, b2, dd, -density)).tolist()
     return [PrimeArm(arms[i].members, (d, b, c), n, x, y) for i, d, b, c, n, x, y in
