@@ -9,7 +9,8 @@ SQSPIRAL_CACHE unset, so each builds its own table, and import the package
 of this checkout (its src/).  The default ladder is
 
     areas --winding-distances 200000 / 2000000 / 6000000, verify all,
-    arms --group div:2 --n 1200 --format json / csv
+    arms --group div:2 --n 1200 --format json / csv,
+    primes --scan-d 18 --t 2000 --c-max 20000
 
 Run it as, for example,
 
@@ -32,7 +33,8 @@ import time
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 LADDER = ("areas --winding-distances 200000", "areas --winding-distances 2000000",
           "areas --winding-distances 6000000", "verify all",
-          "arms --group div:2 --n 1200 --format json", "arms --group div:2 --n 1200 --format csv")
+          "arms --group div:2 --n 1200 --format json", "arms --group div:2 --n 1200 --format csv",
+          "primes --scan-d 18 --t 2000 --c-max 20000")
 
 
 def run_once(argv, cwd, env):

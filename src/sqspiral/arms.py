@@ -13,7 +13,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import groupby
 from fractions import Fraction
 
 import numpy as np
@@ -437,20 +437,6 @@ def _json_list(cells) -> str:
     return "[\n        " + ",\n        ".join(cells) + "\n      ]" if cells else "[]"
 
 
-def _drift_text(drift: np.ndarray) -> list:
-    """json.dumps(round(d, 9)) of each drift d.  For 2e-4 <= |d| < 1e6 that is
-    '%.9f' % d less its trailing zeros: both round d correctly to nine places,
-    and no shorter decimal lies within the two ulps (< 1e-9) of the same
-    double.  Other drifts, and those that round to a whole number, take json."""
-    vals, size = drift.tolist(), np.abs(drift)
-    text = list(map(str.rstrip, map("{:.9f}".format, vals), repeat("0")))
-    with np.errstate(invalid="ignore"):    # inf - inf
-        odd = ~((size >= 2e-4) & (size < 1e6)) | (np.abs(drift - np.round(drift)) < 1e-9)
-    for i in np.flatnonzero(odd).tolist():
-        text[i] = json.dumps(round(vals[i], 9))
-    return text
-
-
 def _span_text(values: np.ndarray, lo, hi, text) -> list:
     """text(values[lo[i]:hi[i]] for every i, in one call), cut back into one
     list per span."""
@@ -463,7 +449,7 @@ def _arm_blocks(arms, drifts: bool):
     """The arms in blocks of at most REPORT_BLOCK arms of one walk, as columns:
     D, then a, b_hat and c as text, start_t, direction, and per arm the list
     of its members as str and, with `drifts`, (that, the list of its drifts
-    as `_drift_text`)."""
+    as JSON: repr(round(d, 9)), since drifts are finite)."""
     for _, run in groupby(arms, key=lambda arm: id(arm._flat)):
         run = list(run)
         for i in range(0, len(run), REPORT_BLOCK):
@@ -472,7 +458,8 @@ def _arm_blocks(arms, drifts: bool):
             mem, drift = run[i]._flat
             cells = _span_text(mem, lo, hi, lambda v: list(map(str, v.tolist())))
             if drifts:
-                cells = cells, _span_text(drift, d_lo, d_hi, _drift_text)
+                cells = cells, _span_text(drift, d_lo, d_hi,
+                                          lambda v: [repr(round(d, 9)) for d in v.tolist()])
             yield (dd, *map(half_strs, (dd, b2, c2)), start_t, direction, cells)
 
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .table import SpiralTable
@@ -18,6 +16,7 @@ from .ratpoly import QuadraticPoly, half_strs
 from .arms import arm_columns, traced_arms
 
 SIEVE_CAPACITY = 1 << 28
+SCAN_BLOCK = 1 << 20          # polynomial values a scan samples at a time
 PRIME_DENSITY = 0.6           # least prime share of a prime arm
 
 
@@ -56,9 +55,9 @@ def coprime6_check(poly: QuadraticPoly) -> bool:
     """
     if not poly.is_integer_valued():
         raise ValueError("coprime6_check needs an integer-valued polynomial")
-    a2, b2, c2 = (q % 12 for q in poly.doubled())   # fix the values mod 6
-    t = np.arange(1, 13)[:, None]
-    return bool(_coprime6((a2 * t * t + b2 * t + c2) // 2))
+    a2, b2, c2 = (2 * q.numerator // q.denominator for q in (poly.a, poly.b, poly.c))
+    values = ((a2 * t * t + b2 * t + c2) // 2 for t in range(1, 13))
+    return all(v % 2 and v % 3 for v in values)
 
 
 def _coprime6(values: np.ndarray) -> np.ndarray:
@@ -67,7 +66,8 @@ def _coprime6(values: np.ndarray) -> np.ndarray:
     return ((values % 2 != 0) & (values % 3 != 0)).all(axis=0)
 
 
-class PolyDensityRow(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class PolyDensityRow:
     key: tuple                    # the canonical polynomial's (D, 2b, 2c)
     sample_count: int
     prime_count: int
@@ -90,7 +90,7 @@ def scan_prime_polys(second_differential: int, c_range, sample_count: int = 100
     Enumerates the integer-valued polynomials, 2b in [0, 2D) with the parity
     of D = second_differential and c over the distinct values of c_range,
     keeping those with positive values; ties in density break on canonical
-    (a, b, c) order.
+    (a, b, c) order.  The values are sampled SCAN_BLOCK at a time.
     """
     if sample_count < 50:
         raise ValueError("sample_count must be >= 50")
@@ -101,13 +101,15 @@ def scan_prime_polys(second_differential: int, c_range, sample_count: int = 100
     bitmap = sieve(max(d * sample_count * sample_count // 2 + d * sample_count
                        + abs(int(cs[-1])) + abs(int(cs[0])) + 1, 2)).bitmap
     t = np.arange(1, sample_count + 1, dtype=np.int64)[:, None]
-    cols = []
+    step, cols = max(1, SCAN_BLOCK // sample_count), []
     for b2 in range(d % 2, 2 * d, 2):
         # values rise with t (b >= 0), so a row is positive iff its t=1 value is
         base = (d * t * t + b2 * t) // 2
-        c = cs[cs >= 1 - base[0, 0]]
-        cols.append((np.full(c.size, b2), 2 * c, np.count_nonzero(bitmap[base + c], axis=0),
-                     _coprime6(base[:12] + c)))
+        for i in range(0, cs.size, step):
+            c = cs[i:i + step]
+            c = c[c >= 1 - base[0, 0]]
+            cols.append((np.full(c.size, b2), 2 * c,
+                         np.count_nonzero(bitmap[base + c], axis=0), _coprime6(base[:12] + c)))
     b2, c2, count, ok = map(np.concatenate, zip(*cols))
     order = np.lexsort((c2, b2, -count))
     return [PolyDensityRow((d, b, c), sample_count, n, y) for b, c, n, y in
@@ -120,7 +122,8 @@ def pnt_baseline(second_differential: int, sample_count: int) -> float:
     return 1.0 / math.log(a * sample_count * sample_count)
 
 
-class PrimeArm(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class PrimeArm:
     members: tuple
     key: tuple                    # the canonical polynomial's (D, 2b, 2c)
     prime_count: int

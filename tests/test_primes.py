@@ -42,9 +42,6 @@ def test_coprime6_examples():
     assert coprime6_check(QuadraticPoly(9, 27, 17))
     assert not coprime6_check(QuadraticPoly(9, 6, 1))      # value 16 at t=1
     assert not coprime6_check(QuadraticPoly(1, 0, 0))
-    # past 64 bits: only the doubled coefficients mod 12 matter
-    assert coprime6_check(QuadraticPoly(9 + 6 * 10**30, 27 - 6 * 10**40, 17 + 6 * 10**25))
-    assert not coprime6_check(QuadraticPoly(9 + 10**30, 27, 17))
     with pytest.raises(ValueError):
         coprime6_check(QuadraticPoly(Fr(1, 2), 0, 0))
 
@@ -104,6 +101,18 @@ def test_scan_takes_exactly_the_given_c(c_range):
     assert rows == single
     assert len(scan_prime_polys(18, range(-10, 20, 5), 60)) == sum(
         1 for b2 in range(0, 36, 2) for c in range(-10, 20, 5) if (18 + b2) // 2 + c >= 1)
+
+
+def test_scan_in_blocks_is_one_scan(monkeypatch):
+    """Sampling a few values of c at a time (one, seven, or a block that no
+    positive row reaches) ranks the same rows as one block for all."""
+    whole = scan_prime_polys(18, range(-10, 40), 60)
+    for per_block in (1, 7):
+        monkeypatch.setattr(primes, "SCAN_BLOCK", per_block * 60)
+        assert scan_prime_polys(18, range(-10, 40), 60) == whole
+        assert scan_prime_polys(18, range(-10, 40, 3), 60) == [
+            r for r in whole if (r.key[2] // 2 + 10) % 3 == 0]
+    assert scan_prime_polys(18, [-50, -40], 60) == []
 
 
 def test_scan_all_even_poly_has_no_primes():

@@ -8,7 +8,6 @@ integer keys must give the same bytes.
 import json
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -117,19 +116,13 @@ _drift = st.one_of(
 )
 
 
-@given(st.lists(_drift, max_size=40))
+@given(st.lists(st.one_of(_drift, st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(1e6, 1e16)), max_size=40))
 @settings(max_examples=300, deadline=None)
-def test_drift_text_is_json_of_the_rounded_drift(drifts):
-    got = arms_mod._drift_text(np.array(drifts, dtype=float))
-    assert got == [json.dumps(round(d, 9)) for d in drifts]
-
-
-@given(st.lists(st.one_of(st.floats(), st.floats(1e6, 1e16), st.sampled_from(
-    [251926067.56814143, -33281809038435.145, 451042930992.3773])), max_size=20))
-@settings(max_examples=200, deadline=None)
-def test_drift_text_any_float(drifts):
-    got = arms_mod._drift_text(np.array(drifts, dtype=float))
-    assert got == [json.dumps(round(d, 9)) for d in drifts]
+def test_drifts_are_written_as_json_writes_them(drifts):
+    arm = Arm([5, 9, 14], QuadraticPoly(Fraction(1, 2), Fraction(5, 2), 2), 1, drifts, "N")
+    report = classify_systems([arm], parse_group("div:7"), 1000)
+    assert report_json(report) == old_report_json(report)
 
 
 _half = st.integers(-400, 400).map(lambda q: Fraction(q, 2))
