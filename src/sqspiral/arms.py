@@ -331,13 +331,22 @@ def traced_arms(table: SpiralTable, mem, max_n: int, density: float = 1.0,
     return _keep(_walk(table, mem, seeds, max_n, density), longest)
 
 
+def _runs(arms):
+    """The arms in runs of consecutive arms of one walk: (its flat arrays, the run)."""
+    for _, run in groupby(arms, key=lambda arm: id(arm._flat)):
+        run = list(run)
+        yield run[0]._flat, run
+
+
 def arm_columns(arms: list[Arm], bitmap: np.ndarray):
-    """The arms of one `traced_arms` call as int64 columns: D, 2b, 2c, the
-    length, and the count of members that `bitmap` marks (one reduceat over
-    the walk's flat member array, which holds the arms back to back)."""
+    """The arms as int64 columns: D, 2b, 2c, the length, and the count of
+    members that `bitmap` marks (from one prefix sum per run of a walk)."""
     rows = np.array([arm._row[:3] + arm._row[5:7] for arm in arms], dtype=np.int64)
     dd, b2, c2, start, end = rows.reshape(-1, 5).T
-    marked = np.add.reduceat(bitmap[arms[0]._flat[0]], start, dtype=np.int64) if arms else start
+    marked, at = np.empty_like(start), 0
+    for (mem, _), run in _runs(arms):
+        hits, span = np.r_[0, np.cumsum(bitmap[mem], dtype=np.int64)], slice(at, at + len(run))
+        marked[span], at = hits[end[span]] - hits[start[span]], span.stop
     return dd, b2, c2, end - start, marked
 
 
@@ -450,12 +459,10 @@ def _arm_blocks(arms, drifts: bool):
     D, then a, b_hat and c as text, start_t, direction, and per arm the list
     of its members as str and, with `drifts`, (that, the list of its drifts
     as JSON: repr(round(d, 9)), since drifts are finite)."""
-    for _, run in groupby(arms, key=lambda arm: id(arm._flat)):
-        run = list(run)
+    for (mem, drift), run in _runs(arms):
         for i in range(0, len(run), REPORT_BLOCK):
             dd, b2, c2, start_t, direction, lo, hi, d_lo, d_hi = zip(
                 *(arm._row for arm in run[i:i + REPORT_BLOCK]))
-            mem, drift = run[i]._flat
             cells = _span_text(mem, lo, hi, lambda v: list(map(str, v.tolist())))
             if drifts:
                 cells = cells, _span_text(drift, d_lo, d_hi,

@@ -84,12 +84,7 @@ def _one_turn(table: SpiralTable, n: np.ndarray) -> WindingRows:
     cum = table.cum_angle
     n = n[cum[n - 1] + TAU <= cum[-1]]
     start = cum[n - 1]
-    target = start + TAU
-    # target <= cum[-1], so rays j and j+1, at cum[j-1] < target <= cum[j],
-    # both exist; ray j wins a tie if it is past n
-    j = np.searchsorted(cum, target)
-    m = np.where((j >= n + 1) & (np.abs(cum[j - 1] - target) <= np.abs(cum[j] - target)),
-                 j, j + 1)
+    m = table.nearest_rays(start + TAU)
     end = cum[m - 1]
     return WindingRows(n, m, np.sqrt(m) - np.sqrt(n),
                        (1 + end // TAU).astype(np.int64), (end - start) - TAU)

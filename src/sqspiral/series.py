@@ -238,8 +238,7 @@ def axis_crossings(table: SpiralTable, winding_max: int) -> CrossingsReport:
     need = (winding_max - 1) * TAU + math.pi
     if float(table.cum_angle[-1]) < need:
         raise IndexError(f"table of {table.max_n} does not cover {winding_max} windings")
-    crossings = [2] + [table.nearest_ray((w - 1) * TAU)
-                       for w in range(2, winding_max + 1)]
+    crossings = [2] + table.nearest_rays(np.arange(1, winding_max) * TAU).tolist()
     poly = newton_quadratic(*crossings[:3])
     diffs = tuple(crossings[i + 2] - 2 * crossings[i + 1] + crossings[i]
                   for i in range(len(crossings) - 2))

@@ -83,24 +83,17 @@ class SpiralTable:
             raise IndexError(f"ray {n} outside table range 1..{self.max_n + 1}")
         return float(self.cum_angle[n - 1])
 
-    def angle_mod(self, n: int) -> float:
-        return self.angle_of(n) % TAU
-
     def winding(self, n: int) -> int:
         """Winding index, starting at 1 for total angles in [0, 2pi)."""
         return 1 + int(self.angle_of(n) // TAU)
 
-    def nearest_ray(self, angle: float, lo: int = 1):
-        """Ray m >= lo whose total angle is nearest `angle` (the first of a
-        tie), searched among the two rays bracketing it; None if neither fits."""
-        j = int(np.searchsorted(self.cum_angle, angle))
-        best, best_gap = None, math.inf
-        for m in (j, j + 1):
-            if lo <= m <= self.max_n + 1:
-                gap = abs(self.angle_of(m) - angle)
-                if gap < best_gap:
-                    best, best_gap = m, gap
-        return best
+    def nearest_rays(self, angles) -> np.ndarray:
+        """Per angle, the ray whose total angle is nearest it (the first of a
+        tie), searched among the two rays bracketing it: ray 1 below 0, ray
+        max_n+1 past w(max_n)."""
+        cum = self.cum_angle
+        j = np.clip(np.searchsorted(cum, angles), 1, self.max_n)
+        return np.where(np.abs(cum[j - 1] - angles) <= np.abs(cum[j] - angles), j, j + 1)
 
     def ray(self, n: int) -> RayCoord:
         total = self.angle_of(n)

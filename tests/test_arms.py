@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sqspiral import verify
 from sqspiral.arms import (DIRECTIONS, MIN_ARM_LEN, Arm, NumberGroup, _keep, _walk,
+                           arm_columns, traced_arms,
                            b_hat_lattice_ok, direction_codes, direction_of,
                            enumerate_arms, find_arm, in_window, members,
                            parse_group, trace_arm, verify_rule_5_2, report_csv,
@@ -130,6 +131,24 @@ def test_lazy_arm_equals_arm_from_its_fields():
     assert other != arm
     with pytest.raises(ValueError):
         Arm(arm.members, QuadraticPoly(Fr(1, 3), 0, 0), 0, arm.drifts, "N")
+
+
+def test_arm_columns_reads_each_walk(table2000):
+    """Arms of two walks and one built by hand, in runs that leave arms out and
+    come back to a walk: each arm's columns are read from its own flat arrays."""
+    walk7, walk11 = (traced_arms(table2000, np.array(members(parse_group(spec), 2000)), 2000)
+                     for spec in ("div:7", "div:11"))
+    hand = Arm([5, 9, 14], QuadraticPoly(Fr(1, 2), Fr(5, 2), 2), 1, [0.1, -0.2], "N")
+    arms = walk7[:3] + walk11[:6:2] + [hand] + walk7[10:12] + walk11[-1:]
+    bitmap = np.zeros(2001, dtype=bool)
+    bitmap[::11] = bitmap[5] = True
+    dd, b2, c2, size, marked = arm_columns(arms, bitmap)
+    assert [(d, b, c) for d, b, c in zip(dd.tolist(), b2.tolist(), c2.tolist())] == \
+        [arm.poly.doubled() for arm in arms]
+    assert size.tolist() == [len(arm.members) for arm in arms]
+    assert marked.tolist() == [sum(bitmap[m] for m in arm.members) for arm in arms]
+    assert marked[3:6].tolist() == size[3:6].tolist() and marked[6] == 1
+    assert all(col.dtype == np.int64 and col.size == 0 for col in arm_columns([], bitmap))
 
 
 def test_find_arm_by_canonical_polynomial():

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -66,13 +67,17 @@ FIELDS = {"n": np.int64, "m": np.int64, "distance": np.float64,
 
 
 def _one_turn_rows(table, probes):
-    """Per-probe oracle: one nearest_ray search per probe ray n; columns."""
+    """Per-probe oracle: per probe ray n, a bisect bracket of n's angle plus
+    2*pi over the table and the nearer of the two rays (the first of a tie); columns."""
+    cum = table.cum_angle.tolist()               # ray m at cum[m - 1]
     cols = {field: [] for field in FIELDS}
     for n in probes:
-        target = table.angle_of(n) + TAU
-        if target > table.w(table.max_n):
+        target = cum[n - 1] + TAU
+        if target > cum[-1]:
             continue
-        m = table.nearest_ray(target, lo=n + 1)
+        j = bisect.bisect_left(cum, target)      # rays j and j+1: cum[j-1] < target <= cum[j]
+        assert j > n                             # triangle n spans less than a turn
+        m = j if abs(cum[j - 1] - target) <= abs(cum[j] - target) else j + 1
         for field, value in (("n", n), ("m", m), ("distance", math.sqrt(m) - math.sqrt(n)),
                              ("winding", table.winding(m)),
                              ("gap", (table.angle_of(m) - table.angle_of(n)) - TAU)):

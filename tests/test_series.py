@@ -150,16 +150,31 @@ def test_axis_crossings(table400):
     assert report.angles_deg[0] == pytest.approx(45.0, abs=1e-9)
     assert report.angles_deg[1] == pytest.approx(4.78344235, abs=1e-4)
     assert report.notes() == []
-    # every crossing is the angle-minimizing ray near its axis transit
-    for w, n in enumerate(report.crossings[1:], 2):
-        axis = (w - 1) * 2 * math.pi
-        zone = [m for m in range(1, 400)
-                if abs(table400.angle_of(m) - axis) < math.pi]
-        assert n == min(zone, key=lambda m: abs(table400.angle_of(m) - axis))
+    assert report.crossings[1:] == _zone_argmin(table400, 6)
     with pytest.raises(ValueError):
         axis_crossings(table400, 2)
     with pytest.raises(IndexError):
         axis_crossings(table400, 12)
+
+
+def _zone_argmin(table, winding_max):
+    """Per winding w >= 2, the angle-minimizing ray (the first of a tie) among
+    the rays within half a turn of its axis transit (w-1)*2*pi."""
+    angle = dict(enumerate(table.cum_angle.tolist(), 1))    # ray m -> its total angle
+    out = []
+    for w in range(2, winding_max + 1):
+        axis = (w - 1) * 2 * math.pi
+        zone = [m for m, a in angle.items() if abs(a - axis) < math.pi]
+        out.append(min(zone, key=lambda m: abs(angle[m] - axis)))
+    return tuple(out)
+
+
+def test_axis_crossings_forty_windings():
+    table = table_mod.table_for(20000)
+    report = axis_crossings(table, 40)
+    assert report.crossings[0] == 2 and len(report.crossings) == 40
+    assert all(type(n) is int for n in report.crossings)
+    assert report.crossings[1:] == _zone_argmin(table, 40)
 
 
 def test_series_serialization():

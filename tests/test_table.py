@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from sqspiral import table as table_mod
 from sqspiral.table import (CHUNK, DEFAULT_CAPACITY, TAIL_START, CapacityError, _blocks,
                             build_table, exact_cum_angles, load_table, save_table,
-                            segment_angle, stream_cum_angles, table_for,
+                            SpiralTable, segment_angle, stream_cum_angles, table_for,
                             wrap_signed, TAU)
 
 
@@ -256,10 +256,17 @@ def test_cache_load_is_read_only_without_copy(tmp_path, table400):
         assert not loaded.cum_angle.flags.owndata
 
 
-def test_nearest_ray_matches_brute_force(table400):
-    last = table400.max_n + 1
-    for angle in (-1.0, 0.0, 0.5, TAU, 20.0, 55.5, table400.w(400) + 3.0):
-        brute = min(range(1, last + 1), key=lambda m: abs(table400.angle_of(m) - angle))
-        assert table400.nearest_ray(angle) == brute
-    assert table400.nearest_ray(TAU, lo=18) == 18   # rays 17 and 18 bracket 2*pi
-    assert table400.nearest_ray(TAU, lo=19) is None
+def test_nearest_rays_match_brute_force(table400):
+    cum = table400.cum_angle                     # ray m at cum[m - 1], rays 1..401
+    angles = np.concatenate([cum, (cum[:-1] + cum[1:]) / 2,
+                             [0.5, TAU, 20.0, 55.5, -1.0, 0.0, table400.w(400) + 3.0]])
+    # the first ray of the least gap, over every ray of the table
+    brute = np.argmin(np.abs(cum[:, None] - angles[None, :]), axis=0) + 1
+    got = table400.nearest_rays(angles)
+    assert got.dtype == np.int64 and got.tolist() == brute.tolist()
+    assert got[-3:].tolist() == [1, 1, 401]
+
+
+def test_nearest_rays_first_of_a_tie():
+    tiny = SpiralTable(3, np.array([0.0, 1.0, 2.0, 3.0]))
+    assert tiny.nearest_rays(np.array([1.5, 2.5, 0.5, 3.5])).tolist() == [2, 3, 1, 4]
