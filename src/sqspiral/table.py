@@ -87,13 +87,12 @@ class SpiralTable:
         """Winding index, starting at 1 for total angles in [0, 2pi)."""
         return 1 + int(self.angle_of(n) // TAU)
 
-    def nearest_rays(self, angles: np.ndarray) -> np.ndarray:
+    def nearest_rays(self, angles) -> np.ndarray:
         """Per angle, the ray whose total angle is nearest it (the first of a
         tie), searched among the two rays bracketing it: ray 1 below 0, ray
         max_n+1 past w(max_n)."""
         cum = self.cum_angle
-        j = np.searchsorted(cum, angles)
-        np.clip(j, 1, self.max_n, out=j)      # in place: one probe-sized array fewer
+        j = np.clip(np.searchsorted(cum, angles), 1, self.max_n)
         return np.where(np.abs(cum[j - 1] - angles) <= np.abs(cum[j] - angles), j, j + 1)
 
     def ray(self, n: int) -> RayCoord:
