@@ -18,7 +18,7 @@ from .ratpoly import (DifferenceTable, NotQuadraticError, QuadraticPoly,
                       Rational, SpiralAngle, difference_table,
                       limit_spiral_angle, newton_quadratic, parse_poly,
                       second_differential)
-from .arms import (Arm, NumberGroup, SystemCluster, SystemReport,
+from .arms import (Arm, Arms, NumberGroup, SystemCluster, SystemReport,
                    classify_systems, direction_of, enumerate_arms, members,
                    parse_group, trace_arm, verify_rule_5_2)
 from .series import (AnalysisSeries, CrossingsReport, FibAngles,

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby
 from fractions import Fraction
 
 import numpy as np
@@ -93,70 +94,89 @@ DIRECTIONS = ("N", "P", "indeterminate")
 
 @dataclass(init=False, unsafe_hash=True)
 class Arm:
-    """A maximal traced arm, read from the columns of the walk that traced it.
+    """A maximal traced arm: row i of the `Arms` table that holds it, or, built
+    from its fields, the one row of a table of its own.  The fields are
+    read-only properties, `members`, `drifts` and `poly` built on each read;
+    equality and hash are over the fields."""
 
-    Its canonical polynomial (b in [0, 2a)) is held as the integers
-    (D, 2b, 2c), D = 2a, with start_t and direction, and its members and
-    drifts as spans of flat arrays shared by the walk's arms.  The five
-    dataclass fields are read-only properties; `members`, `drifts` and
-    `poly` are built on each read.  Equality and hash are over the fields.
-    """
+    __slots__ = ("_arms", "_i")
+    members: tuple = property(lambda self: self._span(5, self._arms.mem))
+    poly: QuadraticPoly = property(
+        lambda self: QuadraticPoly.halves(*self._arms.cols[:3, self._i].tolist()),
+        doc="Canonical: b in [0, 2a); poly(start_t + i) == members[i].")
+    start_t: int = property(lambda self: self._arms.cols[3, self._i].item())
+    drifts: tuple = property(lambda self: self._span(7, self._arms.drift),
+                             doc="Per traced step: advance - 2*pi, in (-pi, pi).")
+    direction: str = property(lambda self: DIRECTIONS[self._arms.cols[4, self._i]],
+                              doc='"P", "N", or "indeterminate".')
+    second_differential = property(lambda self: self._arms.cols[0, self._i].item())
+    b_hat = property(lambda self: Fraction(self._arms.cols[1, self._i].item(), 2))
 
-    members: tuple                # the fields, in order; each a property below
-    poly: QuadraticPoly
-    start_t: int
-    drifts: tuple
-    direction: str
-    __slots__ = ("_row", "_flat")
-
-    def __init__(self, members, poly: QuadraticPoly, start_t: int, drifts,
-                 direction: str):
+    def __init__(self, members, poly: QuadraticPoly, start_t: int, drifts, direction: str):
         key = poly.doubled()
         if key is None:
             raise ValueError(f"{poly} has a coefficient that is not a half-integer")
-        self._row = (*key, start_t, direction, 0, len(members), 0, len(drifts))
-        self._flat = (np.array(members, dtype=np.int64), np.array(drifts, dtype=float))
+        self._arms, self._i = _table([(*key, start_t, DIRECTIONS.index(direction))],
+                                     [members], [drifts]), 0
 
-    @classmethod
-    def _view(cls, row, flat):
-        """The arm at row (D, 2b, 2c, start_t, direction, members from, to,
-        drifts from, to) of the shared flat = (members, drifts) arrays."""
-        arm = object.__new__(cls)
-        arm._row, arm._flat = row, flat
-        return arm
+    def _span(self, k: int, flat: np.ndarray) -> tuple:
+        lo, hi = self._arms.cols[k:k + 2, self._i].tolist()
+        return tuple(flat[lo:hi].tolist())
 
-    @property
-    def members(self) -> tuple:
-        lo, hi = self._row[5:7]
-        return tuple(self._flat[0][lo:hi].tolist())
 
-    @property
-    def poly(self) -> QuadraticPoly:
-        """Canonical: b in [0, 2a); poly(start_t + i) == members[i]."""
-        return QuadraticPoly.halves(*self._row[:3])
+def _span_values(values: np.ndarray, lo, hi, read) -> list:
+    """read(values[lo[i]:hi[i]] for every i) in one call, cut into one list per span."""
+    cells, ends = read(values[_ranges(lo, hi)[1]]), np.cumsum(hi - lo).tolist()
+    return [cells[a:b] for a, b in zip([0] + ends, ends)]
 
-    @property
-    def start_t(self) -> int:
-        return self._row[3]
 
-    @property
-    def drifts(self) -> tuple:
-        """Per traced step: advance - 2*pi, in (-pi, pi)."""
-        lo, hi = self._row[7:]
-        return tuple(self._flat[1][lo:hi].tolist())
+class Arms(Sequence):
+    """Arms as one table.  `cols`, int64 of shape (9, arms), holds per arm D,
+    2b, 2c (D = 2a), start_t, the index of its direction in DIRECTIONS, and
+    its spans [lo, hi) of the flat arrays `mem` and `drift`.  Index i gives
+    row i's `Arm`, built on the first read; a slice gives a list of them.  A
+    table equals a list or tuple of equal arms."""
 
-    @property
-    def direction(self) -> str:
-        """"P", "N", or "indeterminate"."""
-        return self._row[4]
+    def __init__(self, cols: np.ndarray, mem: np.ndarray, drift: np.ndarray):
+        self.cols, self.mem, self.drift, self._views = cols, mem, drift, {}
 
-    @property
-    def second_differential(self) -> int:
-        return self._row[0]
+    def __len__(self) -> int:
+        return self.cols.shape[1]
 
-    @property
-    def b_hat(self) -> Fraction:
-        return Fraction(self._row[1], 2)
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        if i not in self._views:
+            self._views[i] = arm = object.__new__(Arm)
+            arm._arms, arm._i = self, i
+        return self._views[i]
+
+    def __eq__(self, other):
+        return (isinstance(other, (Arms, list, tuple)) and len(self) == len(other)
+                and all(map(operator.eq, self, other)))
+
+    def member_tuples(self, rows) -> list[tuple]:
+        """The members of the arms at `rows`, one tuple each, in that order."""
+        return list(map(tuple, _span_values(self.mem, *self.cols[5:7, rows], np.ndarray.tolist)))
+
+
+def _table(heads, members, drifts) -> Arms:
+    """The arms with rows (D, 2b, 2c, start_t, code) and member and drift lists."""
+    m, d = (np.cumsum([0] + [len(x) for x in lists]) for lists in (members, drifts))
+    cols = np.vstack([np.array(heads, dtype=np.int64).reshape(-1, 5).T, m[:-1], m[1:],
+                      d[:-1], d[1:]])
+    return Arms(cols, np.fromiter(chain.from_iterable(members), np.int64, m[-1]),
+                np.fromiter(chain.from_iterable(drifts), float, d[-1]))
+
+
+def pack_arms(arms) -> Arms:
+    """`arms` as one table: itself if it is an Arms, else a table of its arms in order."""
+    if isinstance(arms, Arms):
+        return arms
+    arms = list(arms)
+    return _table([arm._arms.cols[:5, arm._i] for arm in arms],
+                  [arm.members for arm in arms], [arm.drifts for arm in arms])
 
 
 def in_window(table: SpiralTable, a: int, b: int) -> bool:
@@ -281,15 +301,18 @@ def _walk(table: SpiralTable, mem, seeds, max_n: int, density: float):
     return seeds, length, columns
 
 
-def _keep(walk, longest: bool = False) -> list[Arm]:
+def _firsts(key: np.ndarray) -> np.ndarray:
+    """True at each column of the sorted rows `key` unlike the column before."""
+    return np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)][:key.shape[1]]
+
+
+def _keep(walk, longest: bool = False) -> Arms:
     """The arms of a `_walk` with at least MIN_ARM_LEN members, one per
     canonical (D, 2b, 2c), D = 2a, in that order: the first in seed order, or
     with `longest` the longest, the first on a tie.
 
-    The arms are views of the walk's columns: the integer keys, start_t,
-    direction codes (`direction_codes` of the steps' drifts) and one flat
-    member and one flat drift array, an arm's drifts following its first
-    member.  The walk's columns are emptied as they are read.
+    Direction codes are `direction_codes` of the steps' drifts; an arm's
+    drifts follow its first member.  The walk's columns are emptied as read.
     """
     seeds, length, columns = walk
     kept = np.flatnonzero(length >= MIN_ARM_LEN)
@@ -301,7 +324,7 @@ def _keep(walk, longest: bool = False) -> list[Arm]:
     key = np.stack([dd, b2 + 2 * dd * shift, 2 * prv + dd * shift * shift + b2 * shift])
     order = np.lexsort(((-length[kept],) if longest else ()) + tuple(key[::-1]))
     key = key[:, order]                    # lexsort is stable: seed order on ties
-    first = np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)][:len(order)]
+    first = _firsts(key)
     (dd, b2, c2), pick = key[:, first], order[first]
     kept, shift, size = kept[pick], shift[pick], length[kept[pick]]
     start = np.cumsum(size) - size
@@ -313,16 +336,13 @@ def _keep(walk, longest: bool = False) -> list[Arm]:
         sid, ray, step = columns.pop()
         use = col < span[sid]
         mem[at[sid[use]] + col], drift[at[sid[use]] + col] = ray[use], step[use] - TAU
-    code = direction_codes(drift, start + 1, size - 1).tolist()
-    direction = [DIRECTIONS[c] for c in code]
-    flat, end = (mem, drift), (start + size).tolist()
-    return [Arm._view(row, flat) for row in zip(
-        dd.tolist(), b2.tolist(), c2.tolist(), (1 - shift).tolist(), direction,
-        start.tolist(), end, (start + 1).tolist(), end)]
+    code = direction_codes(drift, start + 1, size - 1)
+    return Arms(np.stack([dd, b2, c2, 1 - shift, code, start, start + size, start + 1,
+                          start + size]), mem, drift)
 
 
 def traced_arms(table: SpiralTable, mem, max_n: int, density: float = 1.0,
-                second_differential=None, longest: bool = False) -> list[Arm]:
+                second_differential=None, longest: bool = False) -> Arms:
     """Arms traced at `density` from `window_seeds(table, mem, max_n)` (of
     one second differential, when given), as `_keep` dedupes and orders them."""
     seeds = window_seeds(table, mem, max_n)
@@ -331,26 +351,16 @@ def traced_arms(table: SpiralTable, mem, max_n: int, density: float = 1.0,
     return _keep(_walk(table, mem, seeds, max_n, density), longest)
 
 
-def _runs(arms):
-    """The arms in runs of consecutive arms of one walk: (its flat arrays, the run)."""
-    for _, run in groupby(arms, key=lambda arm: id(arm._flat)):
-        run = list(run)
-        yield run[0]._flat, run
-
-
-def arm_columns(arms: list[Arm], bitmap: np.ndarray):
+def arm_columns(arms, bitmap: np.ndarray):
     """The arms as int64 columns: D, 2b, 2c, the length, and the count of
-    members that `bitmap` marks (from one prefix sum per run of a walk)."""
-    rows = np.array([arm._row[:3] + arm._row[5:7] for arm in arms], dtype=np.int64)
-    dd, b2, c2, start, end = rows.reshape(-1, 5).T
-    marked, at = np.empty_like(start), 0
-    for (mem, _), run in _runs(arms):
-        hits, span = np.r_[0, np.cumsum(bitmap[mem], dtype=np.int64)], slice(at, at + len(run))
-        marked[span], at = hits[end[span]] - hits[start[span]], span.stop
-    return dd, b2, c2, end - start, marked
+    members that `bitmap` marks."""
+    arms = pack_arms(arms)
+    dd, b2, c2, _, _, lo, hi = arms.cols[:7]
+    hits = np.r_[0, np.cumsum(bitmap[arms.mem], dtype=np.int64)]
+    return dd, b2, c2, hi - lo, hits[hi] - hits[lo]
 
 
-def enumerate_arms(table: SpiralTable, group: NumberGroup, max_n: int) -> list[Arm]:
+def enumerate_arms(table: SpiralTable, group: NumberGroup, max_n: int) -> Arms:
     """All distinct exact arms reachable from window seeds, in canonical
     (a, b, c) order; a shared polynomial keeps the first in seed order."""
     return traced_arms(table, members(group, max_n), max_n)
@@ -373,41 +383,41 @@ class SystemCluster:
 class SystemReport:
     group: NumberGroup
     max_n: int
-    arms: tuple
+    arms: Arms
     clusters: tuple               # SystemCluster, sorted by (direction, D)
 
     def cluster(self, direction: str, second_differential: int):
-        for cl in self.clusters:
-            if (cl.direction == direction
-                    and cl.second_differential == second_differential):
-                return cl
-        return None
+        return next((cl for cl in self.clusters if (cl.direction, cl.second_differential)
+                     == (direction, second_differential)), None)
 
     def directions_mixed(self) -> dict[str, bool]:
         """Direction -> True when more than one second differential occurs."""
-        seen: dict[str, set] = {}
-        for cl in self.clusters:
-            seen.setdefault(cl.direction, set()).add(cl.second_differential)
-        return {d: len(s) > 1 for d, s in seen.items()}
+        keys = [(cl.direction, cl.second_differential) for cl in self.clusters]
+        return {d: len({dd for e, dd in keys if e == d}) > 1 for d, _ in keys}
 
 
 def classify_systems(arms, group: NumberGroup, max_n: int) -> SystemReport:
     """Group arms into systems keyed by (direction, a, b mod 2a): on the
-    integers (direction, D, 2b), as canonical b is a half-integer."""
-    arms = tuple(arms)
-    systems = sorted({(arm.direction, *arm._row[:2]) for arm in arms})
-    clusters = [SystemCluster(direction=direction, second_differential=dd,
+    integers (direction code, D, 2b), as canonical b is a half-integer."""
+    arms = pack_arms(arms)
+    dd, b2, _, _, code = arms.cols[:5]
+    key = np.stack([code, dd, b2])[:, np.lexsort((b2, dd, code))]
+    systems = key[:, _firsts(key)].T.tolist()
+    clusters = [SystemCluster(direction=DIRECTIONS[code], second_differential=dd,
                               b_hats=tuple(Fraction(b2, 2) for *_, b2 in rows))
-                for (direction, dd), rows in groupby(systems, key=lambda s: s[:2])]
+                for (code, dd), rows in groupby(systems, key=lambda s: s[:2])]
     return SystemReport(group=group, max_n=max_n, arms=arms, clusters=tuple(clusters))
 
 
 def find_arm(arms, poly: QuadraticPoly):
     """The arm with canonical polynomial `poly` among `arms` in canonical
     (a, b, c) order, as `enumerate_arms` returns them; None if there is none."""
-    key = poly.doubled()
-    i = bisect_left(arms, key, key=lambda arm: arm._row[:3]) if key else len(arms)
-    return arms[i] if i < len(arms) and arms[i]._row[:3] == key else None
+    arms, key, lo = pack_arms(arms), poly.doubled(), 0
+    hi = len(arms) if key else 0
+    for col, k in zip(arms.cols, key or ()):
+        col = col[lo:hi]
+        lo, hi = lo + np.searchsorted(col, k, "left"), lo + np.searchsorted(col, k, "right")
+    return arms[lo] if lo < hi else None
 
 
 def b_hat_lattice_ok(cluster: SystemCluster, p: int) -> bool:
@@ -425,12 +435,8 @@ def verify_rule_5_2(report: SystemReport):
     p = report.group.divisor
     if p is None:
         return None
-    out: dict[str, dict[int, bool]] = {"N": {}, "P": {}}
-    for cl in report.clusters:
-        if cl.direction in out:
-            out[cl.direction][cl.second_differential] = (
-                p * cl.count == cl.second_differential)
-    return out
+    return {d: {cl.second_differential: p * cl.count == cl.second_differential
+                for cl in report.clusters if cl.direction == d} for d in ("N", "P")}
 
 
 #: Arms per block when an arm report is written.
@@ -446,28 +452,21 @@ def _json_list(cells) -> str:
     return "[\n        " + ",\n        ".join(cells) + "\n      ]" if cells else "[]"
 
 
-def _span_text(values: np.ndarray, lo, hi, text) -> list:
-    """text(values[lo[i]:hi[i]] for every i, in one call), cut back into one
-    list per span."""
-    lo, hi = np.array(lo), np.array(hi)
-    cells, ends = text(values[_ranges(lo, hi)[1]]), np.cumsum(hi - lo).tolist()
-    return [cells[a:b] for a, b in zip([0] + ends, ends)]
-
-
 def _arm_blocks(arms, drifts: bool):
-    """The arms in blocks of at most REPORT_BLOCK arms of one walk, as columns:
-    D, then a, b_hat and c as text, start_t, direction, and per arm the list
-    of its members as str and, with `drifts`, (that, the list of its drifts
-    as JSON: repr(round(d, 9)), since drifts are finite)."""
-    for (mem, drift), run in _runs(arms):
-        for i in range(0, len(run), REPORT_BLOCK):
-            dd, b2, c2, start_t, direction, lo, hi, d_lo, d_hi = zip(
-                *(arm._row for arm in run[i:i + REPORT_BLOCK]))
-            cells = _span_text(mem, lo, hi, lambda v: list(map(str, v.tolist())))
-            if drifts:
-                cells = cells, _span_text(drift, d_lo, d_hi,
-                                          lambda v: [repr(round(d, 9)) for d in v.tolist()])
-            yield (dd, *map(half_strs, (dd, b2, c2)), start_t, direction, cells)
+    """The arms in blocks of at most REPORT_BLOCK arms, as columns: D, then
+    a, b_hat and c as text, start_t, direction, and per arm the list of its
+    members as str and, with `drifts`, (that, the list of its drifts as JSON:
+    repr(round(d, 9)), since drifts are finite)."""
+    arms = pack_arms(arms)
+    for i in range(0, len(arms), REPORT_BLOCK):
+        dd, b2, c2, start_t, code, lo, hi, d_lo, d_hi = arms.cols[:, i:i + REPORT_BLOCK]
+        cells = _span_values(arms.mem, lo, hi, lambda v: list(map(str, v.tolist())))
+        if drifts:
+            cells = cells, _span_values(arms.drift, d_lo, d_hi,
+                                        lambda v: [repr(round(d, 9)) for d in v.tolist()])
+        dd = dd.tolist()
+        yield (dd, *map(half_strs, (dd, b2.tolist(), c2.tolist())), start_t.tolist(),
+               [DIRECTIONS[c] for c in code.tolist()], cells)
 
 
 def report_json_blocks(report: SystemReport):

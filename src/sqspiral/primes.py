@@ -154,8 +154,9 @@ def prime_arm_report(table: SpiralTable, max_n: int) -> list[PrimeArm]:
     density, t = count / size, np.arange(1, 13)[:, None]
     ok = _coprime6((dd * t * t + b2 * t + c2) // 2)
     order = np.lexsort((c2, b2, dd, -density)).tolist()
-    return [PrimeArm(arms[i].members, (d, b, c), n, x, y) for i, d, b, c, n, x, y in
-            zip(order, *(col[order].tolist() for col in (dd, b2, c2, count, density, ok)))]
+    return [PrimeArm(m, (d, b, c), n, x, y) for m, d, b, c, n, x, y in
+            zip(arms.member_tuples(order),
+                *(col[order].tolist() for col in (dd, b2, c2, count, density, ok)))]
 
 
 def scan_csv(rows) -> str:

@@ -1,0 +1,107 @@
+"""The kept arms as one columnar table, `arms.Arms`.
+
+A walk's arms are int64 columns and flat member and drift arrays; an `Arm`
+is built only when an index is read.  The bucketing below is
+`classify_systems` as it was when it read one `Arm` at a time, the oracle for
+the bucketing on columns.
+"""
+import gc
+from fractions import Fraction
+from itertools import groupby
+
+import numpy as np
+import pytest
+
+from sqspiral import verify
+from sqspiral.arms import (Arm, Arms, classify_systems, enumerate_arms, members,
+                           pack_arms, parse_group, traced_arms)
+from sqspiral.ratpoly import QuadraticPoly
+from sqspiral.verify import _cached_arm_reports
+
+
+def old_clusters(arms) -> list:
+    """(direction, D, b_hats) per cluster, bucketed one arm at a time."""
+    systems = sorted({(arm.direction, arm.second_differential, arm.b_hat) for arm in arms})
+    return [(direction, dd, tuple(b_hat for *_, b_hat in rows))
+            for (direction, dd), rows in groupby(systems, key=lambda s: s[:2])]
+
+
+def clusters(report) -> list:
+    return [(cl.direction, cl.second_differential, cl.b_hats) for cl in report.clusters]
+
+
+def _mixed(table):
+    """Arms of two walks, out of order, and one arm built by hand."""
+    walk7, walk11 = (traced_arms(table, np.array(members(parse_group(spec), 2000)), 2000)
+                     for spec in ("div:7", "div:11"))
+    hand = Arm([5, 9, 14], QuadraticPoly(Fraction(1, 2), Fraction(5, 2), 2), 1, [0.1, -0.2],
+               "indeterminate")
+    return walk11[::40] + [hand] + walk7[:30] + walk11[-3:] + walk7[5:8]
+
+
+def test_a_walk_is_one_table(table2000):
+    arms = enumerate_arms(table2000, parse_group("div:7"), 2000)
+    n = len(arms)
+    assert isinstance(arms, Arms) and arms.cols.shape == (9, n) and n > 100
+    assert arms.cols.dtype == np.int64 and arms.mem.dtype == np.int64
+    assert arms[0] is arms[0] and arms[-1] is arms[n - 1] and arms[-n] is arms[0]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            arms[i]
+    part = arms[2:9:3]
+    assert type(part) is list and [a is b for a, b in zip(part, (arms[2], arms[5], arms[8]))] \
+        == [True] * 3
+    assert arms[::-1][0] is arms[-1] and arms[n:] == []
+    listed = list(arms)
+    assert len(listed) == n and all(arm is arms[i] for i, arm in enumerate(listed))
+    assert arms == listed and arms == tuple(listed) and listed == arms
+    assert arms != listed[:-1] and arms != listed[::-1] and arms != "arms"
+    assert pack_arms(arms) is arms and pack_arms(listed) == arms
+    assert arms.member_tuples([3, 0]) == [arms[3].members, arms[0].members]
+    empty = enumerate_arms(table2000, parse_group("list:601"), 600)
+    assert empty == [] and empty == () and len(empty) == 0 and list(empty) == []
+    assert empty[0:5] == [] and empty.member_tuples([]) == []
+
+
+def test_a_list_packs_into_one_table(table2000):
+    arms = _mixed(table2000)
+    packed = pack_arms(arms)
+    assert len(packed) == len(arms) and packed == arms
+    assert [(a.members, a.drifts, a.direction) for a in packed] == \
+        [(a.members, a.drifts, a.direction) for a in arms]
+    assert packed.member_tuples(range(len(arms))) == [a.members for a in arms]
+    assert pack_arms([]) == [] and pack_arms([]).cols.shape == (9, 0)
+
+
+def test_classify_on_columns_matches_the_arm_by_arm_bucketing(table2000):
+    for spec, report in _cached_arm_reports().items():
+        assert clusters(report) == old_clusters(report.arms), spec
+    arms = _mixed(table2000)
+    report = classify_systems(arms, parse_group("div:7"), 2000)
+    assert report.arms == arms
+    assert clusters(report) == old_clusters(arms)
+    assert clusters(report)[-1] == ("indeterminate", 1, (Fraction(5, 2),))
+    assert {cl.direction for cl in report.clusters} == {"N", "P", "indeterminate"}
+
+
+def test_verify_arm_suites_build_views_only_where_read():
+    """The nine arm reports, `table2` and `rule52` build an `Arm` only for an
+    arm they read (about sixty), not one per arm (38,758 over the reports).
+    A table keeps the views it built, so the views built are the `Arm`s alive
+    after the suites and not before."""
+    def alive():
+        return sum(type(obj) is Arm for obj in gc.get_objects())
+
+    _cached_arm_reports.cache_clear()
+    gc.collect()
+    before = alive()
+    try:
+        reports = _cached_arm_reports()
+        checks = verify.suite_table2() + verify.suite_rule52()
+        built = alive() - before
+        arms = sum(len(r.arms) for r in reports.values())
+    finally:
+        _cached_arm_reports.cache_clear()
+    assert all(c.ok for c in checks)
+    assert arms == 38758
+    assert 0 < built <= 300
