@@ -94,10 +94,9 @@ DIRECTIONS = ("N", "P", "indeterminate")
 
 @dataclass(init=False, unsafe_hash=True)
 class Arm:
-    """A maximal traced arm: row i of the `Arms` table that holds it, or, built
-    from its fields, the one row of a table of its own.  The fields are
-    read-only properties, `members`, `drifts` and `poly` built on each read;
-    equality and hash are over the fields."""
+    """A maximal traced arm: row i of the `Arms` table that holds it, or, built from
+    its fields, the one row of a table of its own.  Its fields are read-only properties
+    (`members`, `drifts`, `poly` built on each read); equality and hash are over them."""
 
     __slots__ = ("_arms", "_i")
     members: tuple = property(lambda self: self._span(5, self._arms.mem))
@@ -120,8 +119,8 @@ class Arm:
                                      [members], [drifts]), 0
 
     def _span(self, k: int, flat: np.ndarray) -> tuple:
-        lo, hi = self._arms.cols[k:k + 2, self._i].tolist()
-        return tuple(flat[lo:hi].tolist())
+        """flat[lo:hi] as a tuple, for the span [lo, hi) in columns k, k + 1."""
+        return tuple(flat[slice(*self._arms.cols[k:k + 2, self._i].tolist())].tolist())
 
 
 def _span_values(values: np.ndarray, lo, hi, read) -> list:
@@ -353,7 +352,7 @@ def traced_arms(table: SpiralTable, mem, max_n: int, density: float = 1.0,
 
 def arm_columns(arms, bitmap: np.ndarray):
     """The arms as int64 columns: D, 2b, 2c, the length, and the count of
-    members that `bitmap` marks."""
+    members that `bitmap` marks (from one prefix sum over the flat members)."""
     arms = pack_arms(arms)
     dd, b2, c2, _, _, lo, hi = arms.cols[:7]
     hits = np.r_[0, np.cumsum(bitmap[arms.mem], dtype=np.int64)]
@@ -392,8 +391,10 @@ class SystemReport:
 
     def directions_mixed(self) -> dict[str, bool]:
         """Direction -> True when more than one second differential occurs."""
-        keys = [(cl.direction, cl.second_differential) for cl in self.clusters]
-        return {d: len({dd for e, dd in keys if e == d}) > 1 for d, _ in keys}
+        seen: dict[str, set] = {}
+        for cl in self.clusters:
+            seen.setdefault(cl.direction, set()).add(cl.second_differential)
+        return {d: len(s) > 1 for d, s in seen.items()}
 
 
 def classify_systems(arms, group: NumberGroup, max_n: int) -> SystemReport:
@@ -415,8 +416,7 @@ def find_arm(arms, poly: QuadraticPoly):
     arms, key, lo = pack_arms(arms), poly.doubled(), 0
     hi = len(arms) if key else 0
     for col, k in zip(arms.cols, key or ()):
-        col = col[lo:hi]
-        lo, hi = lo + np.searchsorted(col, k, "left"), lo + np.searchsorted(col, k, "right")
+        lo, hi = [lo + np.searchsorted(col[lo:hi], k, side) for side in ("left", "right")]
     return arms[lo] if lo < hi else None
 
 

@@ -190,7 +190,8 @@ def _cached_arm_reports():
                  "div:17", "div:19", "squares"):
         group = parse_group(spec)
         max_n = ARMS_MAX_N_17 if spec == "div:17" else ARMS_MAX_N
-        arms = enumerate_arms(table_for(max_n), group, max_n)
+        table = table_for(max_n)
+        arms = enumerate_arms(table, group, max_n)
         reports[spec] = classify_systems(arms, group, max_n)
     return reports
 
