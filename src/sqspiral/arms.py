@@ -178,10 +178,10 @@ def pack_arms(arms) -> Arms:
                   [arm.members for arm in arms], [arm.drifts for arm in arms])
 
 
-def in_window(table: SpiralTable, a: int, b: int) -> bool:
-    """True when ray b lies one winding past ray a: advance in (pi, 3*pi)."""
-    d = table.angle_of(b) - table.angle_of(a)
-    return WINDOW_LO < d < WINDOW_HI
+def in_window(advance):
+    """True where an advance (the angle of one ray less that of an earlier
+    ray) is one winding: inside (pi, 3*pi), both bounds strict."""
+    return (WINDOW_LO < advance) & (advance < WINDOW_HI)
 
 
 def direction_of(drifts) -> str:
@@ -280,7 +280,7 @@ def _walk(table: SpiralTable, mem, seeds, max_n: int, density: float):
     live = (dd > 0) & (m1 <= max_n)        # a seed past max_n takes no step
     mid = np.flatnonzero(live & (prv >= 1) & (prv < m1) & bitmap[np.clip(prv, 0, max_n)])
     adv = cum[m1[mid] - 1] - cum[prv[mid] - 1]
-    live[mid[(WINDOW_LO < adv) & (adv < WINDOW_HI)]] = False
+    live[mid[in_window(adv)]] = False
     sid = np.flatnonzero(live)
     cur, gap, angle = m1[sid], d1[sid], cum[m1[sid] - 1]
     hits, length, columns = np.ones(len(sid), dtype=np.int64), live.astype(np.int64), []
@@ -291,7 +291,7 @@ def _walk(table: SpiralTable, mem, seeds, max_n: int, density: float):
         go = np.flatnonzero(inside & (member | (hits / (len(columns) + 2) >= density)))
         nxt_angle = cum[nxt[go] - 1]
         step = nxt_angle - angle[go]
-        win = (WINDOW_LO < step) & (step < WINDOW_HI)
+        win = in_window(step)
         go = go[win]
         sid, cur, angle, member = sid[go], nxt[go], nxt_angle[win], member[go]
         columns.append((sid, cur, step[win]))

@@ -77,19 +77,6 @@ def _probe_array(probes) -> np.ndarray:
     return np.fromiter(probes, dtype=np.int64)
 
 
-def _one_turn(table: SpiralTable, n: np.ndarray) -> WindingRows:
-    """Rows of the probes n whose one-turn target lies within the table."""
-    if n.size and not (1 <= n.min() and n.max() <= table.max_n + 1):
-        raise IndexError(f"probes outside table range 1..{table.max_n + 1}")
-    cum = table.cum_angle
-    n = n[cum[n - 1] + TAU <= cum[-1]]
-    start = cum[n - 1]
-    m = table.nearest_rays(start + TAU)
-    end = cum[m - 1]
-    return WindingRows(n, m, np.sqrt(m) - np.sqrt(n),
-                       (1 + end // TAU).astype(np.int64), (end - start) - TAU)
-
-
 def winding_distance_table(table: SpiralTable, probes=None) -> WindingRows:
     """Winding-distance rows sqrt(m) - sqrt(n) for each probe ray n.
 
@@ -100,7 +87,15 @@ def winding_distance_table(table: SpiralTable, probes=None) -> WindingRows:
     """
     n = (np.arange(1, table.max_n + 1, dtype=np.int64) if probes is None
          else _probe_array(probes))
-    return _one_turn(table, n)
+    if n.size and not (1 <= n.min() and n.max() <= table.max_n + 1):
+        raise IndexError(f"probes outside table range 1..{table.max_n + 1}")
+    cum = table.cum_angle
+    n = n[cum[n - 1] + TAU <= cum[-1]]
+    start = cum[n - 1]
+    m = table.nearest_rays(start + TAU)
+    end = cum[m - 1]
+    return WindingRows(n, m, np.sqrt(m) - np.sqrt(n),
+                       (1 + end // TAU).astype(np.int64), (end - start) - TAU)
 
 
 def winding_averages(rows: WindingRows, fold_at: int | None = None) -> dict[int, float]:
@@ -164,5 +159,5 @@ def constants_report(table: SpiralTable, probes) -> ConstantsReport:
         probes = _probe_array(probes)
     sums, counts = np.zeros(0), np.zeros(0, dtype=np.int64)
     for n in _probe_blocks(probes):
-        sums, counts = _add_block(sums, counts, _one_turn(table, n))
+        sums, counts = _add_block(sums, counts, winding_distance_table(table, n))
     return ConstantsReport(table, probes, sums / np.maximum(counts, 1))

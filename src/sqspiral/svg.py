@@ -22,6 +22,11 @@ DEFAULT_STYLE = {
     "arm.width": "1.5",
 }
 
+ARM_COLORS = ("#2d7d46", "#b03a2e", "#2e6db0", "#8e44ad")  # overlays cycle these
+SIZE = 800          # spiral drawing: width and height in pixels
+SCALE = 20.0        # spiral drawing: user units per unit of radius
+WIDTH, HEIGHT = 640, 400   # report figure, pixels
+
 
 def parse_style(text: str) -> dict:
     """Parse a key=value style file; unknown keys are rejected."""
@@ -39,15 +44,8 @@ class RenderSpec:
     max_n: int
     groups: tuple = ()
     arm_overlays: tuple = ()          # Arm objects
-    arm_colors: tuple = ("#2d7d46", "#b03a2e", "#2e6db0", "#8e44ad")
-    size: int = 800
-    scale: float = 20.0
     mirror: bool = False
     style: dict = field(default_factory=lambda: dict(DEFAULT_STYLE))
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be > 0")
 
 
 def _fmt(x: float) -> str:
@@ -58,7 +56,7 @@ def _fmt(x: float) -> str:
 def _point(table: SpiralTable, n: int, spec: RenderSpec) -> tuple:
     ray = table.ray(n)
     y = ray.y if spec.mirror else -ray.y
-    return ray.x * spec.scale, y * spec.scale
+    return ray.x * SCALE, y * SCALE
 
 
 def render_svg(table: SpiralTable, spec: RenderSpec) -> str:
@@ -66,12 +64,12 @@ def render_svg(table: SpiralTable, spec: RenderSpec) -> str:
     if spec.max_n > table.max_n:
         raise IndexError(f"render range {spec.max_n} exceeds table bound {table.max_n}")
     style = spec.style
-    extent = spec.scale * math.sqrt(spec.max_n) + 4 * spec.scale
+    extent = SCALE * math.sqrt(spec.max_n) + 4 * SCALE
     view = f"{_fmt(-extent)} {_fmt(-extent)} {_fmt(2 * extent)} {_fmt(2 * extent)}"
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.size}" '
-        f'height="{spec.size}" viewBox="{view}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+        f'height="{SIZE}" viewBox="{view}">',
         f'<rect x="{_fmt(-extent)}" y="{_fmt(-extent)}" width="{_fmt(2 * extent)}" '
         f'height="{_fmt(2 * extent)}" fill="{style["background"]}"/>',
     ]
@@ -88,7 +86,7 @@ def render_svg(table: SpiralTable, spec: RenderSpec) -> str:
                 f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{style["marker.radius"]}" '
                 f'fill="{gs.color}"/>')
     for idx, arm in enumerate(spec.arm_overlays):
-        color = spec.arm_colors[idx % len(spec.arm_colors)]
+        color = ARM_COLORS[idx % len(ARM_COLORS)]
         pts = " ".join(
             f"{_fmt(x)},{_fmt(y)}"
             for x, y in (_point(table, n, spec)
@@ -100,8 +98,7 @@ def render_svg(table: SpiralTable, spec: RenderSpec) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render_report_figure(series: AnalysisSeries, width: int = 640,
-                         height: int = 400) -> str:
+def render_report_figure(series: AnalysisSeries) -> str:
     """Line chart of a series; the claimed limit is drawn as a dashed rule.
 
     The plotted range spans the data (and the limit rule when present),
@@ -121,25 +118,25 @@ def render_report_figure(series: AnalysisSeries, width: int = 640,
     margin = 40.0
 
     def sx(x: float) -> float:
-        return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+        return margin + (x - x_lo) / (x_hi - x_lo) * (WIDTH - 2 * margin)
 
     def sy(y: float) -> float:
-        return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+        return HEIGHT - margin - (y - y_lo) / (y_hi - y_lo) * (HEIGHT - 2 * margin)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<rect x="{_fmt(margin)}" y="{_fmt(margin)}" width="{_fmt(width - 2 * margin)}" '
-        f'height="{_fmt(height - 2 * margin)}" fill="none" stroke="#888888"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        f'<rect x="{_fmt(margin)}" y="{_fmt(margin)}" width="{_fmt(WIDTH - 2 * margin)}" '
+        f'height="{_fmt(HEIGHT - 2 * margin)}" fill="none" stroke="#888888"/>',
         f'<text x="{_fmt(margin)}" y="{_fmt(margin - 8)}" font-size="12" '
         f'fill="#202020">{series.label}</text>',
     ]
     if series.claimed_limit is not None:
         ly = sy(series.claimed_limit)
         parts.append(
-            f'<line x1="{_fmt(margin)}" y1="{_fmt(ly)}" x2="{_fmt(width - margin)}" '
+            f'<line x1="{_fmt(margin)}" y1="{_fmt(ly)}" x2="{_fmt(WIDTH - margin)}" '
             f'y2="{_fmt(ly)}" stroke="#b03a2e" stroke-dasharray="4 3"/>')
     if len(series.terms) == 1:
         parts.append(

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import published as pub
-from .table import TAU, SpiralTable, exact_cum_angles, table_for, wrap_signed
+from .table import TAU, exact_cum_angles, table_for, wrap_signed
 from .constants import (archimedean_radius, c2_estimate, c2_extrapolate,
                         winding_averages, winding_distance_table)
 from .ratpoly import QuadraticPoly, newton_quadratic
@@ -196,17 +196,6 @@ def _cached_arm_reports():
     return reports
 
 
-def _window_filtered(table: SpiralTable, seq) -> list[int]:
-    """Members of a published sequence reachable by winding-window tracing."""
-    keep = [seq[0]]
-    for a, b in zip(seq, seq[1:]):
-        if in_window(table, a, b):
-            keep.append(b)
-        else:
-            keep = [b]
-    return keep
-
-
 def suite_table2() -> list[Check]:
     reports = _cached_arm_reports()
     out = []
@@ -220,7 +209,9 @@ def suite_table2() -> list[Check]:
                 out.append(_flag(f"table2.{spec}.{name}", False, "not found",
                                  str(canon)))
                 continue
-            reachable = _window_filtered(table, seq)
+            # reachable by winding-window tracing: the members after the last step out
+            fails = ~in_window(np.diff(table.cum_angle[np.array(seq) - 1]))
+            reachable = list(seq[max(np.flatnonzero(fails) + 1, default=0):])
             mem = arm.members
             contained = all(m in mem for m in reachable)
             want_dir = pub.system_direction(name)
@@ -285,21 +276,7 @@ def suite_table3() -> list[Check]:
 def suite_rule52() -> list[Check]:
     reports = _cached_arm_reports()
     out = []
-    # The published table has 11 lines; directions sharing one count print once.
-    lines = []
-    seen = set()
-    for p, direction, count, dd in pub.RULE52_ROWS:
-        twin = next((r for r in pub.RULE52_ROWS
-                     if r[0] == p and r[1] != direction and r[2:] == (count, dd)),
-                    None)
-        if twin and (p, "NP") in seen:
-            continue
-        if twin:
-            seen.add((p, "NP"))
-            lines.append((p, "NP", count, dd))
-        else:
-            lines.append((p, direction, count, dd))
-    for p, directions, count, dd in lines:
+    for p, directions, count, dd in pub.RULE52_ROWS:
         report = reports[f"div:{p}"]
         ok = True
         counts = []

@@ -1,10 +1,11 @@
+import ast
 import itertools
 import math
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sqspiral import verify
 from sqspiral.arms import (DIRECTIONS, MIN_ARM_LEN, Arm, NumberGroup, _keep, _walk,
@@ -12,11 +13,14 @@ from sqspiral.arms import (DIRECTIONS, MIN_ARM_LEN, Arm, NumberGroup, _keep, _wa
                            b_hat_lattice_ok, direction_codes, direction_of,
                            enumerate_arms, find_arm, in_window, members,
                            parse_group, trace_arm, verify_rule_5_2, report_csv,
-                           report_json, window_seeds)
+                           report_json, window_seeds, WINDOW_HI, WINDOW_LO)
 from sqspiral.primes import PRIME_DENSITY
 from sqspiral.ratpoly import QuadraticPoly, newton_quadratic, second_differential
-from sqspiral.table import TAU, table_for, wrap_signed
+from sqspiral.published import RULE52_ROWS, TABLE2
+from sqspiral.table import TAU, SpiralTable, table_for, wrap_signed
 from sqspiral.verify import _cached_arm_reports
+
+import window_oracles as oracle
 
 
 def test_parse_group():
@@ -301,6 +305,22 @@ def test_rule_5_2():
     assert verify_rule_5_2(reports["squares"]) is None
 
 
+def test_rule52_rows_are_the_printed_lines():
+    """The 11 printed lines; "NP" stands for one row per direction, and so
+    expanded they are the 16 per-direction rows (p, direction, count, D)."""
+    assert len(RULE52_ROWS) == 11
+    assert [(p, d, count, dd) for p, dirs, count, dd in RULE52_ROWS for d in dirs] == [
+        (2, "N", 10, 20), (2, "P", 9, 18),
+        (3, "N", 7, 21), (3, "P", 6, 18),
+        (5, "N", 4, 20), (5, "P", 4, 20),
+        (7, "N", 3, 21), (7, "P", 3, 21),
+        (11, "N", 2, 22), (11, "P", 2, 22),
+        (13, "N", 2, 26), (13, "P", 1, 13),
+        (17, "N", 1, 17), (17, "P", 1, 17),
+        (19, "N", 1, 19), (19, "P", 1, 19),
+    ]
+
+
 def test_report_serialization():
     import json
     report = _cached_arm_reports()["div:11"]
@@ -407,5 +427,63 @@ def test_window_seeds_match_brute_force(table400, spec):
     mem = members(parse_group(spec), 300)
     expected = [(m1, m2, m3) for m1, m2, m3 in itertools.combinations(mem, 3)
                 if m1 <= 75 and m1 - 2 * m2 + m3 > 0
-                and in_window(table400, m1, m2) and in_window(table400, m2, m3)]
+                and oracle.in_window(table400, m1, m2)
+                and oracle.in_window(table400, m2, m3)]
     assert list(zip(*window_seeds(table400, mem, 300).tolist())) == expected
+
+
+def test_window_predicate_matches_the_scalar_oracle():
+    """The vector `in_window` of an advance agrees with the scalar oracle of
+    two rays that far apart: at pi and 3*pi, at their float neighbours and on
+    random advances.  Both bounds are strict."""
+    bounds = np.array([math.pi, 3 * math.pi])
+    assert bounds.tolist() == [WINDOW_LO, WINDOW_HI]
+    advances = np.concatenate([bounds, np.nextafter(bounds, -np.inf),
+                               np.nextafter(bounds, np.inf),
+                               np.random.default_rng(21).uniform(-TAU, 3 * TAU, 2000)])
+    got = in_window(advances)
+    assert got[:6].tolist() == [False, False, False, True, True, False]
+    assert got.tolist() == [oracle.in_window(SpiralTable(1, np.array([0.0, d])), 1, 2)
+                            for d in advances.tolist()]
+    assert [bool(in_window(d)) for d in advances[:6].tolist()] == got[:6].tolist()
+
+
+def _table2_reachable():
+    """The members each `table2` check counts as reachable, read from its
+    expected text, in check order."""
+    return [ast.literal_eval(c.expected.split(" contains ")[1])
+            for c in verify.suite_table2() if " contains " in c.expected]
+
+
+def test_table2_reachable_suffix_matches_the_scalar_walk():
+    reports = _cached_arm_reports()
+    assert _table2_reachable() == [
+        oracle.window_filtered(table_for(reports[spec].max_n), seq)
+        for spec, systems in TABLE2.items() for seq in systems.values()]
+
+
+@st.composite
+def _broken_sequences(draw):
+    """Increasing multiples of 7 up to 600, convex in their first three (a
+    Newton fit with a > 0), with steps of 7 to 280 that often leave the window."""
+    g1 = draw(st.integers(1, 30))
+    gaps = [g1, g1 + draw(st.integers(1, 20))] + draw(st.lists(st.integers(1, 40),
+                                                              min_size=1, max_size=6))
+    seq = list(7 * np.cumsum([draw(st.integers(1, 10))] + gaps))
+    return [int(m) for m in seq if m <= 600]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_broken_sequences())
+@example([7, 21, 49, 70, 105, 175, 266, 364])
+@example([7, 21, 49, 70, 105, 112, 175, 266])
+def test_table2_reachable_suffix_restarts_after_a_middle_break(seq):
+    """Sequences that leave the window after their first step, which no
+    published sequence does; every lookup is given the group's first arm."""
+    table = table_for(600)
+    assume(len(seq) >= 4 and not all(oracle.in_window(table, a, b)
+                                     for a, b in zip(seq[1:], seq[2:])))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify.pub, "TABLE2", {"div:7": {"N1": tuple(seq)}})
+        mp.setattr(verify, "find_arm", lambda arms, poly: arms[0])
+        assert _table2_reachable() == [oracle.window_filtered(table, seq)]

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from sqspiral import primes
-from sqspiral.arms import MIN_ARM_LEN, in_window, window_seeds
+from sqspiral.arms import MIN_ARM_LEN, window_seeds
 from sqspiral.primes import (coprime6_check, pnt_baseline, prime_arm_report,
                              scan_prime_polys, scan_csv, sieve)
 from sqspiral.ratpoly import QuadraticPoly, newton_quadratic
 from sqspiral.table import table_for
+
+from window_oracles import in_window
 
 
 def trial_division(n: int) -> bool:
