@@ -19,7 +19,7 @@ from .ratpoly import (DifferenceTable, NotQuadraticError, QuadraticPoly,
                       limit_spiral_angle, newton_quadratic, parse_poly,
                       second_differential)
 from .arms import (Arm, Arms, NumberGroup, SystemCluster, SystemReport,
-                   classify_systems, direction_of, enumerate_arms, members,
+                   classify_systems, enumerate_arms, members,
                    parse_group, trace_arm, verify_rule_5_2)
 from .series import (AnalysisSeries, CrossingsReport, FibAngles,
                      axis_crossings, fib_angle_series,

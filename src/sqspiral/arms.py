@@ -92,35 +92,32 @@ def members(group: NumberGroup, max_n: int) -> list[int]:
 DIRECTIONS = ("N", "P", "indeterminate")
 
 
-@dataclass(init=False, unsafe_hash=True)
+@dataclass(frozen=True)
 class Arm:
-    """A maximal traced arm: row i of the `Arms` table that holds it, or, built from
-    its fields, the one row of a table of its own.  Its fields are read-only properties
-    (`members`, `drifts`, `poly` built on each read); equality and hash are over them."""
+    """A maximal traced arm, as a record of its fields: what a row of an `Arms`
+    table reads as, and what `pack_arms` packs into one."""
 
-    __slots__ = ("_arms", "_i")
-    members: tuple = property(lambda self: self._span(5, self._arms.mem))
-    poly: QuadraticPoly = property(
-        lambda self: QuadraticPoly.halves(*self._arms.cols[:3, self._i].tolist()),
-        doc="Canonical: b in [0, 2a); poly(start_t + i) == members[i].")
-    start_t: int = property(lambda self: self._arms.cols[3, self._i].item())
-    drifts: tuple = property(lambda self: self._span(7, self._arms.drift),
-                             doc="Per traced step: advance - 2*pi, in (-pi, pi).")
-    direction: str = property(lambda self: DIRECTIONS[self._arms.cols[4, self._i]],
-                              doc='"P", "N", or "indeterminate".')
-    second_differential = property(lambda self: self._arms.cols[0, self._i].item())
-    b_hat = property(lambda self: Fraction(self._arms.cols[1, self._i].item(), 2))
+    members: tuple
+    poly: QuadraticPoly           # canonical: b in [0, 2a); poly(start_t + i) == members[i]
+    start_t: int
+    drifts: tuple                 # per traced step: advance - 2*pi, in (-pi, pi)
+    direction: str                # "P", "N", or "indeterminate"
 
-    def __init__(self, members, poly: QuadraticPoly, start_t: int, drifts, direction: str):
-        key = poly.doubled()
-        if key is None:
-            raise ValueError(f"{poly} has a coefficient that is not a half-integer")
-        self._arms, self._i = _table([(*key, start_t, DIRECTIONS.index(direction))],
-                                     [members], [drifts]), 0
+    def __post_init__(self):
+        if self.poly.doubled() is None:
+            raise ValueError(f"{self.poly} has a coefficient that is not a half-integer")
+        if self.direction not in DIRECTIONS:
+            raise ValueError(f"direction {self.direction!r} is not one of {DIRECTIONS}")
+        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "drifts", tuple(self.drifts))
 
-    def _span(self, k: int, flat: np.ndarray) -> tuple:
-        """flat[lo:hi] as a tuple, for the span [lo, hi) in columns k, k + 1."""
-        return tuple(flat[slice(*self._arms.cols[k:k + 2, self._i].tolist())].tolist())
+    @property
+    def second_differential(self) -> int:
+        return int(2 * self.poly.a)
+
+    @property
+    def b_hat(self) -> Fraction:
+        return self.poly.b
 
 
 def _span_values(values: np.ndarray, lo, hi, read) -> list:
@@ -132,12 +129,12 @@ def _span_values(values: np.ndarray, lo, hi, read) -> list:
 class Arms(Sequence):
     """Arms as one table.  `cols`, int64 of shape (9, arms), holds per arm D,
     2b, 2c (D = 2a), start_t, the index of its direction in DIRECTIONS, and
-    its spans [lo, hi) of the flat arrays `mem` and `drift`.  Index i gives
-    row i's `Arm`, built on the first read; a slice gives a list of them.  A
-    table equals a list or tuple of equal arms."""
+    its spans [lo, hi) of the flat arrays `mem` and `drift`; each array's spans
+    tile it.  Index i gives row i's `Arm`, built on the first read and kept; a
+    slice gives a list of them.  A table equals a list or tuple of equal arms."""
 
     def __init__(self, cols: np.ndarray, mem: np.ndarray, drift: np.ndarray):
-        self.cols, self.mem, self.drift, self._views = cols, mem, drift, {}
+        self.cols, self.mem, self.drift, self._arms = cols, mem, drift, {}
 
     def __len__(self) -> int:
         return self.cols.shape[1]
@@ -146,10 +143,11 @@ class Arms(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         i = range(len(self))[i]
-        if i not in self._views:
-            self._views[i] = arm = object.__new__(Arm)
-            arm._arms, arm._i = self, i
-        return self._views[i]
+        if i not in self._arms:
+            dd, b2, c2, start_t, code, lo, hi, d_lo, d_hi = self.cols[:, i].tolist()
+            self._arms[i] = Arm(self.mem[lo:hi].tolist(), QuadraticPoly.halves(dd, b2, c2),
+                                start_t, self.drift[d_lo:d_hi].tolist(), DIRECTIONS[code])
+        return self._arms[i]
 
     def __eq__(self, other):
         return (isinstance(other, (Arms, list, tuple)) and len(self) == len(other)
@@ -160,22 +158,19 @@ class Arms(Sequence):
         return list(map(tuple, _span_values(self.mem, *self.cols[5:7, rows], np.ndarray.tolist)))
 
 
-def _table(heads, members, drifts) -> Arms:
-    """The arms with rows (D, 2b, 2c, start_t, code) and member and drift lists."""
-    m, d = (np.cumsum([0] + [len(x) for x in lists]) for lists in (members, drifts))
-    cols = np.vstack([np.array(heads, dtype=np.int64).reshape(-1, 5).T, m[:-1], m[1:],
-                      d[:-1], d[1:]])
-    return Arms(cols, np.fromiter(chain.from_iterable(members), np.int64, m[-1]),
-                np.fromiter(chain.from_iterable(drifts), float, d[-1]))
-
-
 def pack_arms(arms) -> Arms:
     """`arms` as one table: itself if it is an Arms, else a table of its arms in order."""
     if isinstance(arms, Arms):
         return arms
     arms = list(arms)
-    return _table([arm._arms.cols[:5, arm._i] for arm in arms],
-                  [arm.members for arm in arms], [arm.drifts for arm in arms])
+    heads = [(*arm.poly.doubled(), arm.start_t, DIRECTIONS.index(arm.direction))
+             for arm in arms]
+    members, drifts = [arm.members for arm in arms], [arm.drifts for arm in arms]
+    m, d = (np.cumsum([0] + [len(x) for x in lists]) for lists in (members, drifts))
+    cols = np.vstack([np.array(heads, dtype=np.int64).reshape(-1, 5).T, m[:-1], m[1:],
+                      d[:-1], d[1:]])
+    return Arms(cols, np.fromiter(chain.from_iterable(members), np.int64, m[-1]),
+                np.fromiter(chain.from_iterable(drifts), float, d[-1]))
 
 
 def in_window(advance):
@@ -184,30 +179,16 @@ def in_window(advance):
     return (WINDOW_LO < advance) & (advance < WINDOW_HI)
 
 
-def direction_of(drifts) -> str:
-    """P/N from the median early drift (the first min(5, len) of an arm's
-    per-step drifts).
-
-    The median, not the mean: a single large transient on the innermost step
-    must not outvote an otherwise one-sided early curl.  Calibrated so the
-    square-number arms classify P.
-    """
-    if not drifts:
-        raise ValueError("direction needs at least one drift")
-    ds = sorted(drifts[:5])
-    k = len(ds)
-    med = ds[k // 2] if k % 2 else 0.5 * (ds[k // 2 - 1] + ds[k // 2])
-    if med == 0.0:
-        return "indeterminate"
-    return "P" if med < 0 else "N"
-
-
 def direction_codes(drift, first, count):
-    """`direction_of` for many arms at once, as indices into DIRECTIONS: arm
-    i's drifts are drift[first[i]:first[i] + count[i]], count[i] >= 1.
+    """Rotation directions of many arms, as indices into DIRECTIONS: arm i's
+    drifts are drift[first[i]:first[i] + count[i]], count[i] >= 1.
 
-    The median is taken with the same float operations: the middle one of
-    the sorted first min(5, count) drifts, or the half sum of the middle two.
+    An arm's direction is read from the median of its first min(5, count)
+    drifts (the middle one sorted, or the half sum of the middle two): P if
+    it is negative, N if positive, indeterminate if it is 0.0.  The median,
+    not the mean: a single large transient on the innermost step must not
+    outvote an otherwise one-sided early curl.  Calibrated so the
+    square-number arms classify P.
     """
     drift = np.asarray(drift, dtype=np.float64)
     first, k = np.asarray(first, dtype=np.int64), np.minimum(count, 5)
@@ -310,8 +291,8 @@ def _keep(walk, longest: bool = False) -> Arms:
     canonical (D, 2b, 2c), D = 2a, in that order: the first in seed order, or
     with `longest` the longest, the first on a tie.
 
-    Direction codes are `direction_codes` of the steps' drifts; an arm's
-    drifts follow its first member.  The walk's columns are emptied as read.
+    Direction codes are `direction_codes` of the steps' drifts, one per step,
+    so an arm of k members has k - 1.  The walk's columns are emptied as read.
     """
     seeds, length, columns = walk
     kept = np.flatnonzero(length >= MIN_ARM_LEN)
@@ -327,17 +308,19 @@ def _keep(walk, longest: bool = False) -> Arms:
     (dd, b2, c2), pick = key[:, first], order[first]
     kept, shift, size = kept[pick], shift[pick], length[kept[pick]]
     start = np.cumsum(size) - size
-    at, span = np.zeros((2, len(length)), dtype=np.int64)   # per seed
-    at[kept], span[kept] = start, size
-    mem, drift = np.empty(size.sum(), dtype=np.int64), np.empty(size.sum())
+    d_lo = start - np.arange(len(size))    # an arm's first drift: one per step
+    at, span, d_at = np.zeros((3, len(length)), dtype=np.int64)   # per seed
+    at[kept], span[kept], d_at[kept] = start, size, d_lo - 1
+    mem, drift = np.empty(size.sum(), dtype=np.int64), np.empty(size.sum() - size.size)
     mem[start] = m1[pick]
     for col in range(len(columns), 0, -1):    # peak memory: free each column once read
         sid, ray, step = columns.pop()
         use = col < span[sid]
-        mem[at[sid[use]] + col], drift[at[sid[use]] + col] = ray[use], step[use] - TAU
-    code = direction_codes(drift, start + 1, size - 1)
-    return Arms(np.stack([dd, b2, c2, 1 - shift, code, start, start + size, start + 1,
-                          start + size]), mem, drift)
+        sid = sid[use]
+        mem[at[sid] + col], drift[d_at[sid] + col] = ray[use], step[use] - TAU
+    code = direction_codes(drift, d_lo, size - 1)
+    return Arms(np.stack([dd, b2, c2, 1 - shift, code, start, start + size, d_lo,
+                          d_lo + size - 1]), mem, drift)
 
 
 def traced_arms(table: SpiralTable, mem, max_n: int, density: float = 1.0,

@@ -16,11 +16,11 @@ from . import arms as arms_mod
 from . import primes as primes_mod
 from . import verify as verify_mod
 from .config import Config, load_config
-from .constants import c2_estimate
+from .constants import c2_estimate, constants_report
 from .series import (axis_crossings, fib_angle_series, fib_area_ratio_series,
                      fibonacci_numbers, same_arm_angle_series,
                      square_angle_series, square_band_ratio_series)
-from .svg import GroupStyle, RenderSpec, parse_style, render_svg
+from .svg import GroupStyle, RenderSpec, parse_style, render_report_figure, render_svg
 from .table import build_table, load_table, save_table
 
 EXIT_OK = 0
@@ -161,7 +161,6 @@ def _emit_series(series, args, cfg: Config, companions=()) -> None:
     else:
         _emit(series.to_csv())
     if args.figure:
-        from .svg import render_report_figure
         with open(args.figure, "w", encoding="utf-8") as fh:
             fh.write(render_report_figure(series))
 
@@ -180,7 +179,6 @@ def cmd_areas(args, cfg: Config) -> int:
         table = _table_for(cfg, (args.same_arm + 3) ** 2)
         series = same_arm_angle_series(table, args.same_arm)
     elif args.winding_distances is not None:
-        from .constants import constants_report
         max_n = args.winding_distances
         report = constants_report(_table_for(cfg, max_n), probes=range(1, max_n))
         for block in report.winding_csv_blocks():

@@ -5,7 +5,10 @@ is built only when an index is read.  The bucketing below is
 `classify_systems` as it was when it read one `Arm` at a time, the oracle for
 the bucketing on columns.
 """
+import dataclasses
 import gc
+import math
+import pickle
 from fractions import Fraction
 from itertools import groupby
 
@@ -15,6 +18,7 @@ import pytest
 from sqspiral import verify
 from sqspiral.arms import (Arm, Arms, classify_systems, enumerate_arms, members,
                            pack_arms, parse_group, traced_arms)
+from sqspiral.primes import PRIME_DENSITY
 from sqspiral.ratpoly import QuadraticPoly
 from sqspiral.verify import _cached_arm_reports
 
@@ -73,6 +77,34 @@ def test_a_list_packs_into_one_table(table2000):
     assert pack_arms([]) == [] and pack_arms([]).cols.shape == (9, 0)
 
 
+def test_an_arm_is_a_record_that_pickles_alone():
+    """A row read from a table is a frozen record of its own fields: it keeps no
+    reference to the table, so pickling it does not pickle the walk's arms."""
+    arms = _cached_arm_reports()["div:2"].arms
+    arm = arms[3]
+    data = pickle.dumps(arm)
+    assert len(arms) > 1000 and len(data) < 1024
+    assert pickle.loads(data) == arm and hash(pickle.loads(data)) == hash(arm)
+    assert not any(isinstance(v, Arms) for v in vars(arm).values())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        arm.start_t = 0
+    hand = Arm([5, 9, 14], QuadraticPoly(Fraction(1, 2), Fraction(5, 2), 2), 1, [0.1, -0.2],
+               "N")
+    assert hand.members == (5, 9, 14) and hand.drifts == (0.1, -0.2)
+
+
+@pytest.mark.parametrize("spec, density", [("div:7", 1.0), ("primes", PRIME_DENSITY)])
+def test_drift_spans_tile_the_drift_array(table2000, spec, density):
+    """A walk's drift array holds one drift per step and nothing else: the
+    drift spans (rows 7 and 8) follow one another from 0, an arm of k members
+    has k - 1 drifts, and every drift lies in (-pi, pi)."""
+    arms = traced_arms(table2000, np.array(members(parse_group(spec), 2000)), 2000, density)
+    lo, hi, d_lo, d_hi = arms.cols[5:9]
+    assert len(arms) > 100 and d_lo[0] == 0 and (d_lo[1:] == d_hi[:-1]).all()
+    assert d_hi[-1] == len(arms.drift) == (hi - lo - 1).sum()
+    assert ((-math.pi < arms.drift) & (arms.drift < math.pi)).all()
+
+
 def test_classify_on_columns_matches_the_arm_by_arm_bucketing(table2000):
     for spec, report in _cached_arm_reports().items():
         assert clusters(report) == old_clusters(report.arms), spec
@@ -87,7 +119,7 @@ def test_classify_on_columns_matches_the_arm_by_arm_bucketing(table2000):
 def test_verify_arm_suites_build_views_only_where_read():
     """The nine arm reports, `table2` and `rule52` build an `Arm` only for an
     arm they read (about sixty), not one per arm (38,758 over the reports).
-    A table keeps the views it built, so the views built are the `Arm`s alive
+    A table keeps the arms it built, so the arms built are the `Arm`s alive
     after the suites and not before."""
     def alive():
         return sum(type(obj) is Arm for obj in gc.get_objects())

@@ -11,7 +11,7 @@ from sqspiral import verify
 from sqspiral.arms import (DIRECTIONS, MIN_ARM_LEN, WINDOW_HI, WINDOW_LO, Arm,
                            NumberGroup, _keep, _walk,
                            arm_columns, traced_arms,
-                           b_hat_lattice_ok, direction_codes, direction_of,
+                           b_hat_lattice_ok, direction_codes,
                            enumerate_arms, find_arm, in_window, members,
                            parse_group, trace_arm, verify_rule_5_2, report_csv,
                            report_json, window_seeds)
@@ -88,6 +88,24 @@ def _drifts(table, mem):
             for a, b in zip(mem, mem[1:])]
 
 
+def direction_of(drifts) -> str:
+    """P/N from the median early drift (the first min(5, len) of an arm's
+    per-step drifts).
+
+    The median, not the mean: a single large transient on the innermost step
+    must not outvote an otherwise one-sided early curl.  Calibrated so the
+    square-number arms classify P.
+    """
+    if not drifts:
+        raise ValueError("direction needs at least one drift")
+    ds = sorted(drifts[:5])
+    k = len(ds)
+    med = ds[k // 2] if k % 2 else 0.5 * (ds[k // 2 - 1] + ds[k // 2])
+    if med == 0.0:
+        return "indeterminate"
+    return "P" if med < 0 else "N"
+
+
 def test_direction_codes_match_direction_of_on_every_report_arm():
     for spec, report in _cached_arm_reports().items():
         assert report.arms, spec
@@ -104,8 +122,9 @@ _DRIFTS = st.one_of(st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.5, -1.5]),
 @given(st.lists(st.lists(_DRIFTS, min_size=1, max_size=8), min_size=1, max_size=6),
        st.integers(0, 3))
 def test_direction_codes_match_direction_of(arms, lead):
-    """Arms' drifts laid end to end after `lead` unused slots, as in the walk's
-    flat drift array; 4 or 5 early drifts are what arms of MIN_ARM_LEN give."""
+    """Arms' drifts laid end to end after `lead` slots that no arm reads, so
+    that `first` need not start at 0; 4 or 5 early drifts are what arms of
+    MIN_ARM_LEN give."""
     count = [len(d) for d in arms]
     first = lead + np.cumsum(count) - count
     drift = [7.0] * lead + [x for d in arms for x in d]
@@ -136,6 +155,8 @@ def test_lazy_arm_equals_arm_from_its_fields():
     assert other != arm
     with pytest.raises(ValueError):
         Arm(arm.members, QuadraticPoly(Fr(1, 3), 0, 0), 0, arm.drifts, "N")
+    with pytest.raises(ValueError):
+        Arm(arm.members, arm.poly, arm.start_t, arm.drifts, "S")
 
 
 def test_arm_columns_reads_each_walk(table2000):
@@ -189,9 +210,14 @@ def test_table2_and_rule52_build_polynomials_only_where_read(monkeypatch):
 
 
 def test_direction_examples(table2000):
-    assert direction_of(_drifts(table2000, (1, 16, 49, 100, 169, 256))) == "P"
-    assert direction_of(_drifts(table2000, (2, 26, 70, 134, 218))) == "N"
-    assert direction_of(_drifts(table2000, (26, 39, 65, 104, 156))) == "P"
+    """The squares' calibration example classifies P, a div:2 one N, a div:13 one P."""
+    examples = {(1, 16, 49, 100, 169, 256): "P", (2, 26, 70, 134, 218): "N",
+                (26, 39, 65, 104, 156): "P"}
+    drifts = [_drifts(table2000, mem) for mem in examples]
+    assert [direction_of(d) for d in drifts] == list(examples.values())
+    count = [len(d) for d in drifts]
+    codes = direction_codes(sum(drifts, []), np.cumsum(count) - count, count)
+    assert [DIRECTIONS[c] for c in codes] == list(examples.values())
     with pytest.raises(ValueError):
         direction_of([])
 
