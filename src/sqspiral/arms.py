@@ -104,7 +104,7 @@ class Arm:
     direction: str                # "P", "N", or "indeterminate"
 
     def __post_init__(self):
-        if self.poly.doubled() is None:
+        if any(q.denominator > 2 for q in (self.poly.a, self.poly.b, self.poly.c)):
             raise ValueError(f"{self.poly} has a coefficient that is not a half-integer")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction {self.direction!r} is not one of {DIRECTIONS}")
