@@ -393,14 +393,15 @@ def classify_systems(arms, group: NumberGroup, max_n: int) -> SystemReport:
     return SystemReport(group=group, max_n=max_n, arms=arms, clusters=tuple(clusters))
 
 
-def find_arm(arms, poly: QuadraticPoly):
-    """The arm with canonical polynomial `poly` among `arms` in canonical
-    (a, b, c) order, as `enumerate_arms` returns them; None if there is none."""
-    arms, key, lo = pack_arms(arms), poly.doubled(), 0
-    hi = len(arms) if key else 0
-    for col, k in zip(arms.cols, key or ()):
-        lo, hi = [lo + np.searchsorted(col[lo:hi], k, side) for side in ("left", "right")]
-    return arms[lo] if lo < hi else None
+def find_arms(arms, polys) -> list:
+    """Per canonical polynomial of `polys`, the arm with it among `arms` in
+    canonical (a, b, c) order, as `enumerate_arms` returns them, or None; one
+    search of the (D, 2b, 2c) rows as records, which compare field by field."""
+    arms, key = pack_arms(arms), np.dtype([("D", "i8"), ("b2", "i8"), ("c2", "i8")])
+    rows = np.ascontiguousarray(arms.cols[:3].T).view(key).ravel()
+    keys = [poly.doubled() or (0, 0, 0) for poly in polys]  # no arm has D = 0
+    at = np.searchsorted(rows, np.array(keys, dtype=key)).tolist()
+    return [arms[i] if i < len(rows) and rows[i].item() == k else None for i, k in zip(at, keys)]
 
 
 def b_hat_lattice_ok(cluster: SystemCluster, p: int) -> bool:

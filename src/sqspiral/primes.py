@@ -94,7 +94,8 @@ def scan_prime_polys(second_differential: int, c_range, sample_count: int = 100
     """
     if sample_count < 50:
         raise ValueError("sample_count must be >= 50")
-    cs = np.unique(np.fromiter(c_range, dtype=np.int64))
+    cs = np.sort(np.fromiter(c_range, dtype=np.int64))
+    cs = cs[np.diff(cs, prepend=cs[:1] - 1) != 0]  # np.unique would import numpy.ma
     if not cs.size:
         raise ValueError(f"scan needs a non-empty c range, got {c_range!r}")
     d = second_differential

@@ -27,6 +27,8 @@ CHUNK = 1 << 16
 
 DEFAULT_CAPACITY = 1 << 27  # table entries (~1 GiB of float64)
 TAIL_START = 1 << 20  # stream_cum_angles: indices past this from the expansion
+SLAB_MIN = 16  # unread full blocks of a walk summed as slab columns from this many on
+SLAB_CELLS = 1 << 15  # terms per slab piece (rows x blocks), 256 KiB of float64
 
 CACHE_MAGIC = b"SQSP"
 CACHE_VERSION = 1
@@ -110,23 +112,48 @@ class SpiralTable:
         )
 
 
-def _blocks(top: int):
-    """Yield (lo, hi, base, prefix) per CHUNK-sized block of triangles 1..top,
-    with w(k) = base + prefix[k - lo]; the carried base is Neumaier-compensated."""
-    carry = 0.0
-    comp = 0.0
+def _blocks(top: int, ks=None):
+    """Yield (lo, hi, base, total, prefix) per CHUNK-sized block of triangles
+    1..top, with w(k) = base + prefix[k - lo], total = prefix[-1] and the base
+    carried by Neumaier's sum.  Given ks, the indices that will be read, a full
+    block holding none of them has prefix None; from SLAB_MIN such blocks on,
+    their totals come from one slab."""
+    unread = [] if ks is None else sorted(
+        set(range(top // CHUNK)) - {(k - 1) // CHUNK for k in ks})
+    totals = dict(zip(unread, _slab_totals(unread))) if len(unread) >= SLAB_MIN else {}
+    carry = comp = 0.0
     for lo in range(1, top + 1, CHUNK):
         hi = min(lo + CHUNK, top + 1)
-        k = np.arange(lo, hi, dtype=np.float64)
-        prefix = np.cumsum(np.arctan(1.0 / np.sqrt(k)))
-        yield lo, hi, carry + comp, prefix
-        total = float(prefix[-1])
+        total, prefix = totals.get(lo // CHUNK), None
+        if total is None:
+            k = np.arange(lo, hi, dtype=np.float64)
+            prefix = np.cumsum(np.arctan(1.0 / np.sqrt(k)))
+            total = float(prefix[-1])
+        yield lo, hi, carry + comp, total, prefix
         s = carry + total
         if abs(carry) >= abs(total):
             comp += (carry - s) + total
         else:
             comp += (total - s) + carry
         carry = s
+
+
+def _slab_totals(blocks) -> list[float]:
+    """Totals of full blocks (block b holds triangles b*CHUNK+1..(b+1)*CHUNK),
+    bit for bit np.cumsum's last entry: a column of the rows x blocks slab per
+    block, whose rows np.add.reduce adds in order, running sums carried in as
+    row 0.  It sums one column pairwise, with other bits: pass two or more."""
+    los = np.asarray(blocks, dtype=np.float64) * CHUNK + 1
+    rows = max(1, SLAB_CELLS // los.size)
+    k = np.arange(rows, dtype=np.float64)[:, None] + los
+    slab = np.zeros((rows + 1, los.size))
+    for i in range(0, CHUNK, rows):
+        n = min(rows, CHUNK - i)
+        x = slab[1:n + 1]
+        np.arctan(np.divide(1.0, np.sqrt(k[:n], out=x), out=x), out=x)
+        slab[0] = np.add.reduce(slab[:n + 1], axis=0)
+        k += rows
+    return slab[0].tolist()
 
 
 def build_table(max_n: int) -> SpiralTable:
@@ -145,7 +172,7 @@ def build_table(max_n: int) -> SpiralTable:
             f"{DEFAULT_CAPACITY}")
     cum = np.empty(max_n + 1, dtype=np.float64)
     cum[0] = 0.0
-    for lo, hi, base, prefix in _blocks(max_n):
+    for lo, hi, base, _, prefix in _blocks(max_n):
         cum[lo:hi] = base + prefix
     cum.flags.writeable = False  # tables are shared read-only
     return SpiralTable(max_n=max_n, cum_angle=cum)
@@ -167,10 +194,10 @@ def exact_cum_angles(ks) -> tuple[dict[int, float], float]:
         raise ValueError("indices must be >= 0")
     w = {0: 0.0}
     plain = 0.0
-    for lo, hi, base, prefix in _blocks(ks[-1] if ks else 0):
+    for lo, hi, base, total, prefix in _blocks(ks[-1] if ks else 0, ks):
         for k in ks[bisect_left(ks, lo):bisect_left(ks, hi)]:
             w[k] = base + float(prefix[k - lo])
-        plain += float(prefix[-1])
+        plain += total
     return {k: w[k] for k in ks}, plain
 
 

@@ -15,11 +15,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import published as pub
-from .table import TAU, exact_cum_angles, table_for, wrap_signed
+from .table import TAU, build_table, exact_cum_angles, table_for, wrap_signed
 from .constants import (archimedean_radius, c2_estimate, c2_extrapolate,
                         winding_averages, winding_distance_table)
 from .ratpoly import QuadraticPoly, newton_quadratic
-from .arms import (b_hat_lattice_ok, classify_systems, enumerate_arms, find_arm,
+from .arms import (b_hat_lattice_ok, classify_systems, enumerate_arms, find_arms,
                    in_window, parse_group)
 from .series import (DEG, GOLDEN, axis_crossings, fib_angle_series_streaming,
                      fib_area_ratio_series, same_arm_angle_series,
@@ -148,7 +148,7 @@ def suite_fig7() -> list[Check]:
 
 # --------------------------------------------------------------------------
 def suite_fig15() -> list[Check]:
-    table = table_for(1010000)
+    table = build_table(1010000)  # read by this suite alone: not kept by table_for
     series = same_arm_angle_series(table, 300)
     out = []
     for r, printed in sorted(pub.FIG15_DIFFS.items()):
@@ -202,9 +202,9 @@ def suite_table2() -> list[Check]:
     for spec, systems in pub.TABLE2.items():
         report = reports[spec]
         table = table_for(report.max_n)
-        for name, seq in systems.items():
-            canon, _ = newton_quadratic(*seq[:3]).canonicalize()
-            arm = find_arm(report.arms, canon)
+        canons = [newton_quadratic(*seq[:3]).canonicalize()[0] for seq in systems.values()]
+        found = find_arms(report.arms, canons)
+        for (name, seq), canon, arm in zip(systems.items(), canons, found):
             if arm is None:
                 out.append(_flag(f"table2.{spec}.{name}", False, "not found",
                                  str(canon)))

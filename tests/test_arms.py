@@ -12,7 +12,7 @@ from sqspiral.arms import (DIRECTIONS, MIN_ARM_LEN, WINDOW_HI, WINDOW_LO, Arm,
                            NumberGroup, _keep, _walk,
                            arm_columns, traced_arms,
                            b_hat_lattice_ok, direction_codes,
-                           enumerate_arms, find_arm, in_window, members,
+                           enumerate_arms, find_arms, in_window, members,
                            parse_group, trace_arm, verify_rule_5_2, report_csv,
                            report_json, window_seeds)
 from sqspiral.primes import PRIME_DENSITY
@@ -179,12 +179,16 @@ def test_arm_columns_reads_each_walk(table2000):
 
 def test_find_arm_by_canonical_polynomial():
     arms = _cached_arm_reports()["div:13"].arms
-    assert all(find_arm(arms, arm.poly) is arm for arm in arms)
+    found = find_arms(arms, [arm.poly for arm in arms])
+    assert len(found) == len(arms) and all(f is arm for f, arm in zip(found, arms))
     canon, _ = newton_quadratic(26, 91, 182).canonicalize()
-    assert find_arm(arms, canon).members[:3] == (26, 91, 182)
-    assert find_arm(arms, QuadraticPoly(1000, 0, 1)) is None
-    assert find_arm(arms, QuadraticPoly(Fr(13, 2), Fr(1, 3), 0)) is None
-    assert find_arm([], canon) is None
+    missing = [QuadraticPoly(1000, 0, 1), QuadraticPoly(Fr(13, 2), Fr(1, 3), 0)]
+    found = find_arms(arms, [missing[0], canon, missing[1]])
+    assert found[1].members[:3] == (26, 91, 182)
+    assert found[0] is None
+    assert found[2] is None
+    assert find_arms([], [canon]) == [None]
+    assert find_arms(arms, []) == []
 
 
 def test_table2_and_rule52_build_polynomials_only_where_read(monkeypatch):
@@ -511,5 +515,5 @@ def test_table2_reachable_suffix_restarts_after_a_middle_break(seq):
                                      for a, b in zip(seq[1:], seq[2:])))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify.pub, "TABLE2", {"div:7": {"N1": tuple(seq)}})
-        mp.setattr(verify, "find_arm", lambda arms, poly: arms[0])
+        mp.setattr(verify, "find_arms", lambda arms, polys: [arms[0]] * len(polys))
         assert _table2_reachable() == [oracle.window_filtered(table, seq)]

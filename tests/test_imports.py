@@ -4,10 +4,15 @@ package module imports a name it does not use.
 Checked statically over the package and the scripts: `from <sqspiral module>
 import _x` and `<sqspiral module>._x` both fail.  Dunder names are public.
 The package's `__init__.py` imports to re-export, so it is exempt from the
-unused-import check.
+unused-import check.  A fresh process running `verify all` imports no
+`numpy.ma` and keeps no shared table past 10^5 entries.
 """
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -90,3 +95,44 @@ def test_checker_catches_unused_import():
     assert unused_imports("import os.path\nimport numpy as np\n") == ["os", "np"]
     assert unused_imports("from __future__ import annotations\n"
                           "import numpy as np\n\ndef f(a: np.ndarray): pass\n") == []
+
+
+VERIFY_ALL_PROBE = """
+import contextlib, io, json, sys
+import numpy
+ma_after_numpy = "numpy.ma" in sys.modules
+from sqspiral import cli, verify
+asked, table_for = [], verify.table_for
+verify.table_for = lambda max_n: asked.append(max_n) or table_for(max_n)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "all"])
+print(json.dumps({"code": code, "ma_after_numpy": ma_after_numpy,
+                  "ma_after_verify": "numpy.ma" in sys.modules, "asked": asked}))
+"""
+
+
+@pytest.fixture(scope="module")
+def verify_all_probe(tmp_path_factory):
+    """What one `verify all` in a fresh process imports and asks `table_for` for."""
+    env = {k: v for k, v in os.environ.items() if k != "SQSPIRAL_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", VERIFY_ALL_PROBE], env=env,
+                          cwd=tmp_path_factory.mktemp("probe"), capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["code"] == 0
+    return probe
+
+
+def test_verify_all_imports_no_numpy_ma(verify_all_probe):
+    # numpy 2.4's np.unique imports numpy.ma on its first call: 10-17 ms
+    if verify_all_probe["ma_after_numpy"]:
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert not verify_all_probe["ma_after_verify"]
+
+
+def test_verify_all_keeps_no_table_past_1e5(verify_all_probe):
+    # table_for keeps every table it builds until the process exits
+    asked = verify_all_probe["asked"]
+    assert asked and max(asked) <= 10**5

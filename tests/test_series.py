@@ -113,7 +113,7 @@ def test_fib_area_ratios_sum_only_short_bands(monkeypatch):
     blocks, roots = [], []
     real_sqrt = np.sqrt
     monkeypatch.setattr(table_mod, "_blocks",
-                        lambda top: blocks.append(top) or iter(()))
+                        lambda top, ks=None: blocks.append(top) or iter(()))
     monkeypatch.setattr(np, "sqrt",
                         lambda x: roots.append(np.size(x)) or real_sqrt(x))
     series = fib_area_ratio_series(40)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sqspiral import table as table_mod
-from sqspiral.table import (CHUNK, DEFAULT_CAPACITY, TAIL_START, CapacityError, _blocks,
-                            build_table, exact_cum_angles, load_table, save_table,
+from sqspiral.table import (CHUNK, DEFAULT_CAPACITY, SLAB_MIN, TAIL_START, CapacityError,
+                            _blocks, build_table, exact_cum_angles, load_table, save_table,
                             SpiralTable, segment_angle, stream_cum_angles, table_for,
                             wrap_signed, TAU)
 
@@ -100,10 +100,85 @@ def test_exact_walk_has_the_table_bits():
 def test_block_bases_carry_exact_sum_of_block_totals():
     # pins the Neumaier carry: bare addition of the totals is 2 ulp off at 1e6
     totals = []
-    for _, _, base, prefix in _blocks(10**6):
+    for _, _, base, total, prefix in _blocks(10**6):
         assert base == math.fsum(totals)
-        totals.append(float(prefix[-1]))
+        assert total == prefix[-1]
+        totals.append(total)
     assert len(totals) == -(-10**6 // CHUNK)
+
+
+def _cumsum_walk(top):
+    """Oracle: the walk with every block's own np.cumsum, no slab; yields
+    (lo, hi, base, prefix) per block, the base carried by Neumaier's sum."""
+    carry = comp = 0.0
+    for lo in range(1, top + 1, CHUNK):
+        hi = min(lo + CHUNK, top + 1)
+        k = np.arange(lo, hi, dtype=np.float64)
+        prefix = np.cumsum(np.arctan(1.0 / np.sqrt(k)))
+        yield lo, hi, carry + comp, prefix
+        total = float(prefix[-1])
+        s = carry + total
+        if abs(carry) >= abs(total):
+            comp += (carry - s) + total
+        else:
+            comp += (total - s) + carry
+        carry = s
+
+
+def _cumsum_angles(ks):
+    """Oracle for exact_cum_angles: w(k) from the per-block walk, and the
+    block totals carried by bare additions."""
+    ks = sorted(set(ks))
+    w, plain = {0: 0.0}, 0.0
+    for lo, hi, base, prefix in _cumsum_walk(ks[-1] if ks else 0):
+        w.update((k, base + float(prefix[k - lo])) for k in ks if lo <= k < hi)
+        plain += float(prefix[-1])
+    return {k: w[k] for k in ks}, plain
+
+
+def test_every_block_total_to_1e7_is_the_cumsum_total():
+    # no index read: the 152 full blocks are one slab, the partial last a cumsum
+    walk, oracle = list(_blocks(10**7, ())), list(_cumsum_walk(10**7))
+    assert len(walk) == len(oracle) == 153
+    assert sum(prefix is None for *_, prefix in walk) == 152
+    for (lo, hi, base, total, prefix), (lo0, hi0, base0, prefix0) in zip(walk, oracle):
+        assert (lo, hi, base, total) == (lo0, hi0, base0, prefix0[-1])
+        assert prefix is None or prefix.tobytes() == prefix0.tobytes()
+    ks = [10**4, 10**5, 10**6, 10**7]
+    assert exact_cum_angles(ks) == _cumsum_angles(ks)
+
+
+# (indices read, full blocks that hold none of them)
+READS = [([], 0), ([1], 0), ([CHUNK], 0), ([CHUNK + 1], 1), ([2 * CHUNK + 1], 2),
+         ([15 * CHUNK + 1], 15), ([TAIL_START], 15), ([16 * CHUNK + 1], 16),
+         ([17 * CHUNK + 1], 17), ([3, CHUNK, CHUNK + 1, 19 * CHUNK + 5], 17),
+         ([0, CHUNK + 1, 9 * CHUNK, 9 * CHUNK + 1, 25 * CHUNK], 21)]
+
+
+@pytest.mark.parametrize("ks, unread", READS)
+def test_sparse_walk_is_the_cumsum_walk(ks, unread):
+    top = max(ks, default=0)
+    blocks = list(_blocks(top, ks))
+    assert unread == sum(hi - lo == CHUNK and not any(lo <= k < hi for k in ks)
+                         for lo, hi, *_ in blocks)
+    assert sum(prefix is None for *_, prefix in blocks) == (unread if unread >= SLAB_MIN else 0)
+    assert exact_cum_angles(ks) == _cumsum_angles(ks)
+    if top <= TAIL_START:
+        assert stream_cum_angles(ks) == _cumsum_angles(ks)[0]
+
+
+def test_a_slab_never_has_one_column(monkeypatch):
+    # np.add.reduce adds a slab's rows in order only with two or more
+    # columns; one column it sums pairwise, with other bits than np.cumsum
+    widths = []
+    slab_totals = table_mod._slab_totals
+    monkeypatch.setattr(table_mod, "_slab_totals",
+                        lambda blocks: widths.append(len(blocks)) or slab_totals(blocks))
+    for ks, _ in READS:
+        exact_cum_angles(ks)
+    for unread in range(SLAB_MIN + 2):
+        exact_cum_angles([unread * CHUNK + 1])
+    assert widths and min(widths) >= 2
 
 
 def test_build_rejects_bad_size_and_capacity():
@@ -176,8 +251,8 @@ def test_far_angle_matches_table():
 def test_far_angles_walk_no_blocks_past_tail_start(monkeypatch):
     walked = []
 
-    def counting_blocks(top):
-        for block in _blocks(top):
+    def counting_blocks(top, ks=None):
+        for block in _blocks(top, ks):
             walked.append(block[0])
             yield block
 
