@@ -4,10 +4,10 @@
 Each line gives the suite's checks, its failures, its seconds, the
 process's peak resident memory so far (`ru_maxrss`, in MiB), so the line at
 which the peak jumps names the suite that holds the memory, and the modules
-first imported while the suite ran, so a lazy import names its suite.  Suites run in
-`verify all` order and share its caches (tables, arm reports), so a suite's
-seconds and memory are what it adds after the suites before it.  Run it with
-the package importable, for example
+first imported while the suite ran, so a lazy import names its suite.
+Suites run in `verify all` order and share its caches (tables, arm reports),
+so a suite's seconds and memory are what it adds after the suites before
+it.  Run it with the package importable, for example
 
     PYTHONPATH=src python3 scripts/suite_profile.py
     PYTHONPATH=src python3 scripts/suite_profile.py constants table1

@@ -182,11 +182,14 @@ def test_find_arm_by_canonical_polynomial():
     found = find_arms(arms, [arm.poly for arm in arms])
     assert len(found) == len(arms) and all(f is arm for f, arm in zip(found, arms))
     canon, _ = newton_quadratic(26, 91, 182).canonicalize()
-    missing = [QuadraticPoly(1000, 0, 1), QuadraticPoly(Fr(13, 2), Fr(1, 3), 0)]
-    found = find_arms(arms, [missing[0], canon, missing[1]])
+    first = arms[0].poly
+    missing = [QuadraticPoly(1000, 0, 1), QuadraticPoly(Fr(13, 2), Fr(1, 3), 0),
+               QuadraticPoly(first.a, first.b, first.c - 10**6)]  # D and b of an arm
+    found = find_arms(arms, [missing[0], canon, missing[1], missing[2]])
     assert found[1].members[:3] == (26, 91, 182)
     assert found[0] is None
     assert found[2] is None
+    assert found[3] is None
     assert find_arms([], [canon]) == [None]
     assert find_arms(arms, []) == []
 
