@@ -27,7 +27,9 @@ CHUNK = 1 << 16
 
 DEFAULT_CAPACITY = 1 << 27  # table entries (~1 GiB of float64)
 TAIL_START = 1 << 20  # stream_cum_angles: indices past this from the expansion
-SLAB_MIN = 16  # unread full blocks of a walk summed as slab columns from this many on
+# a walk's unread full blocks are slab columns from this many on: np.add.reduce
+# adds one column pairwise, not in order, so a slab needs two
+SLAB_MIN = 2
 SLAB_CELLS = 1 << 15  # terms per slab piece (rows x blocks), 256 KiB of float64
 
 CACHE_MAGIC = b"SQSP"
@@ -115,21 +117,21 @@ class SpiralTable:
 def _blocks(top: int, ks=None):
     """Yield (lo, hi, base, total, prefix) per CHUNK-sized block of triangles
     1..top, with w(k) = base + prefix[k - lo], total = prefix[-1] and the base
-    carried by Neumaier's sum.  Given ks, the indices that will be read, a full
-    block holding none of them has prefix None; from SLAB_MIN such blocks on,
-    their totals come from one slab."""
+    carried by Neumaier's sum.  Given ks, the indices to be read, a full block
+    holding none of them has prefix None, and from SLAB_MIN of them on a total
+    from one slab; the last prefix stays held, so the next reuses its pages."""
     unread = [] if ks is None else sorted(
         set(range(top // CHUNK)) - {(k - 1) // CHUNK for k in ks})
     totals = dict(zip(unread, _slab_totals(unread))) if len(unread) >= SLAB_MIN else {}
     carry = comp = 0.0
     for lo in range(1, top + 1, CHUNK):
         hi = min(lo + CHUNK, top + 1)
-        total, prefix = totals.get(lo // CHUNK), None
+        total = totals.get(lo // CHUNK)
         if total is None:
             k = np.arange(lo, hi, dtype=np.float64)
             prefix = np.cumsum(np.arctan(1.0 / np.sqrt(k)))
             total = float(prefix[-1])
-        yield lo, hi, carry + comp, total, prefix
+        yield lo, hi, carry + comp, total, None if lo // CHUNK in totals else prefix
         s = carry + total
         if abs(carry) >= abs(total):
             comp += (carry - s) + total
@@ -139,10 +141,9 @@ def _blocks(top: int, ks=None):
 
 
 def _slab_totals(blocks) -> list[float]:
-    """Totals of full blocks (block b holds triangles b*CHUNK+1..(b+1)*CHUNK),
-    bit for bit np.cumsum's last entry: a column of the rows x blocks slab per
-    block, whose rows np.add.reduce adds in order, running sums carried in as
-    row 0.  It sums one column pairwise, with other bits: pass two or more."""
+    """Totals of full blocks b (triangles b*CHUNK+1..(b+1)*CHUNK), bit for bit
+    np.cumsum's: a slab column each, rows added in order by np.add.reduce with
+    the running sums as row 0, which it does for two columns or more only."""
     los = np.asarray(blocks, dtype=np.float64) * CHUNK + 1
     rows = max(1, SLAB_CELLS // los.size)
     k = np.arange(rows, dtype=np.float64)[:, None] + los

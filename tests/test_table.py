@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -150,6 +151,8 @@ def test_every_block_total_to_1e7_is_the_cumsum_total():
 
 # (indices read, full blocks that hold none of them)
 READS = [([], 0), ([1], 0), ([CHUNK], 0), ([CHUNK + 1], 1), ([2 * CHUNK + 1], 2),
+         ([7 * CHUNK + 1], 7), ([8 * CHUNK + 1], 8), ([9 * CHUNK + 1], 9),
+         ([2 * CHUNK + 1, 5 * CHUNK + 1, 11 * CHUNK], 8),
          ([15 * CHUNK + 1], 15), ([TAIL_START], 15), ([16 * CHUNK + 1], 16),
          ([17 * CHUNK + 1], 17), ([3, CHUNK, CHUNK + 1, 19 * CHUNK + 5], 17),
          ([0, CHUNK + 1, 9 * CHUNK, 9 * CHUNK + 1, 25 * CHUNK], 21)]
@@ -179,6 +182,15 @@ def test_a_slab_never_has_one_column(monkeypatch):
     for unread in range(SLAB_MIN + 2):
         exact_cum_angles([unread * CHUNK + 1])
     assert widths and min(widths) >= 2
+
+
+def test_a_walk_holds_its_last_prefix_past_unread_blocks():
+    # so the next block's np.cumsum reuses that memory, not fresh pages
+    walk = _blocks(12 * CHUNK, [1, 12 * CHUNK])
+    held = weakref.ref(next(walk)[4])
+    assert [block[4] for block in [next(walk) for _ in range(10)]] == [None] * 10
+    assert held() is not None
+    assert next(walk)[4] is not None and held() is None
 
 
 def test_build_rejects_bad_size_and_capacity():
