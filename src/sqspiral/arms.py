@@ -286,6 +286,19 @@ def _firsts(key: np.ndarray) -> np.ndarray:
     return np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)][:key.shape[1]]
 
 
+def canonical_keys(m1, m2, m3):
+    """The canonical (D, 2b, 2c), D = 2a, of the quadratics through (1, m1),
+    (2, m2), (3, m3) for int64 arrays m1, m2, m3 of D > 0, as a (3, n) array,
+    and each one's canonicalizing shift s, all in integers: the doubled
+    coefficients of `newton_quadratic(m1, m2, m3).canonicalize()`."""
+    d1, dd = m2 - m1, m1 - 2 * m2 + m3
+    prv = m1 - d1 + dd                     # the polynomial's value at t = 0
+    b2 = 2 * d1 - 3 * dd                   # newton_quadratic's 2b
+    shift = -(b2 // (2 * dd))              # QuadraticPoly.canonicalize's s
+    return np.stack([dd, b2 + 2 * dd * shift,
+                     2 * prv + dd * shift * shift + b2 * shift]), shift
+
+
 def _keep(walk, longest: bool = False) -> Arms:
     """The arms of a `_walk` with at least MIN_ARM_LEN members, one per
     canonical (D, 2b, 2c), D = 2a, in that order: the first in seed order, or
@@ -296,12 +309,7 @@ def _keep(walk, longest: bool = False) -> Arms:
     """
     seeds, length, columns = walk
     kept = np.flatnonzero(length >= MIN_ARM_LEN)
-    m1, m2, m3 = seeds[:, kept]
-    d1, dd = m2 - m1, m1 - 2 * m2 + m3
-    prv = m1 - d1 + dd                     # the polynomial's value at t = 0
-    b2 = 2 * d1 - 3 * dd                   # newton_quadratic's 2b
-    shift = -(b2 // (2 * dd))              # QuadraticPoly.canonicalize's s
-    key = np.stack([dd, b2 + 2 * dd * shift, 2 * prv + dd * shift * shift + b2 * shift])
+    key, shift = canonical_keys(*seeds[:, kept])
     order = np.lexsort(((-length[kept],) if longest else ()) + tuple(key[::-1]))
     key = key[:, order]                    # lexsort is stable: seed order on ties
     first = _firsts(key)
@@ -312,7 +320,7 @@ def _keep(walk, longest: bool = False) -> Arms:
     at, span, d_at = np.zeros((3, len(length)), dtype=np.int64)   # per seed
     at[kept], span[kept], d_at[kept] = start, size, d_lo - 1
     mem, drift = np.empty(size.sum(), dtype=np.int64), np.empty(size.sum() - size.size)
-    mem[start] = m1[pick]
+    mem[start] = seeds[0, kept]
     for col in range(len(columns), 0, -1):    # peak memory: free each column once read
         sid, ray, step = columns.pop()
         use = col < span[sid]
@@ -393,13 +401,12 @@ def classify_systems(arms, group: NumberGroup, max_n: int) -> SystemReport:
     return SystemReport(group=group, max_n=max_n, arms=arms, clusters=tuple(clusters))
 
 
-def find_arms(arms, polys) -> list:
-    """Per canonical polynomial of `polys`, the arm with it among `arms` in
-    canonical (a, b, c) order, as `enumerate_arms` returns them, or None; one
-    search of the (D, 2b, 2c) rows as records, which compare field by field."""
+def find_arms(arms, keys) -> list:
+    """Per canonical (D, 2b, 2c) tuple of `keys`, the arm with it among `arms`
+    in canonical (a, b, c) order, as `enumerate_arms` returns them, or None;
+    one search of the (D, 2b, 2c) rows as records, which compare field by field."""
     arms, key = pack_arms(arms), np.dtype([("D", "i8"), ("b2", "i8"), ("c2", "i8")])
     rows = np.ascontiguousarray(arms.cols[:3].T).view(key).ravel()
-    keys = [poly.doubled() or (0, 0, 0) for poly in polys]  # no arm has D = 0
     at = np.searchsorted(rows, np.array(keys, dtype=key)).tolist()
     return [arms[i] if i < len(rows) and rows[i].item() == k else None for i, k in zip(at, keys)]
 

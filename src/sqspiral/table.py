@@ -127,9 +127,9 @@ def _blocks(top: int, ks=None):
     for lo in range(1, top + 1, CHUNK):
         hi = min(lo + CHUNK, top + 1)
         total = totals.get(lo // CHUNK)
-        if total is None:
-            k = np.arange(lo, hi, dtype=np.float64)
-            prefix = np.cumsum(np.arctan(1.0 / np.sqrt(k)))
+        if total is None:  # in place: one array per block, no temporaries
+            prefix = x = np.arange(lo, hi, dtype=np.float64)
+            np.cumsum(np.arctan(np.divide(1.0, np.sqrt(x, out=x), out=x), out=x), out=x)
             total = float(prefix[-1])
         yield lo, hi, carry + comp, total, None if lo // CHUNK in totals else prefix
         s = carry + total

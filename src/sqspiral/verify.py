@@ -8,6 +8,7 @@ runtime budget check reports only its verdict).
 from __future__ import annotations
 
 import math
+import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,9 +19,9 @@ from . import published as pub
 from .table import TAU, build_table, exact_cum_angles, table_for, wrap_signed
 from .constants import (archimedean_radius, c2_estimate, c2_extrapolate,
                         winding_averages, winding_distance_table)
-from .ratpoly import QuadraticPoly, newton_quadratic
-from .arms import (b_hat_lattice_ok, classify_systems, enumerate_arms, find_arms,
-                   in_window, parse_group)
+from .ratpoly import QuadraticPoly, half_strs, newton_quadratic, poly_str
+from .arms import (b_hat_lattice_ok, canonical_keys, classify_systems, enumerate_arms,
+                   find_arms, in_window, parse_group)
 from .series import (DEG, GOLDEN, axis_crossings, fib_angle_series_streaming,
                      fib_area_ratio_series, same_arm_angle_series,
                      square_angle_series, square_band_closed_form,
@@ -35,6 +36,8 @@ FIB_DEEP_K = 40
 #: Enumeration bound for arm discovery suites.
 ARMS_MAX_N = 600
 ARMS_MAX_N_17 = 800
+#: Indices of c2's Richardson extrapolation, read from one block walk.
+C2_KS = (10**4, 10**5, 10**6, 10**7)
 
 
 @dataclass(frozen=True)
@@ -62,12 +65,18 @@ def _flag(name, ok, measured, expected, note="") -> Check:
 
 
 # --------------------------------------------------------------------------
-def suite_constants() -> list[Check]:
+def _c2_walk():
+    """One block walk, no table: the table's bits at each of C2_KS, the plain
+    carry, and the walk's seconds."""
     t0 = time.perf_counter()
-    # one block walk, no table: the table's bits at each k, and the plain carry
-    w, plain = exact_cum_angles([10**4, 10**5, 10**6, 10**7])
+    w, plain = exact_cum_angles(C2_KS)
+    return w, plain, time.perf_counter() - t0
+
+
+def suite_constants(walk=None) -> list[Check]:
+    """The constants checks; `walk` is `_c2_walk()`'s result if it ran already."""
+    w, plain, elapsed = walk or _c2_walk()
     c2 = c2_extrapolate(w)
-    elapsed = time.perf_counter() - t0
     table = table_for(10**5)  # a prefix of any larger build, bit for bit
     out = [
         _chk("constants.c2_extrapolated", c2, pub.C2, 1e-8,
@@ -202,12 +211,13 @@ def suite_table2() -> list[Check]:
     for spec, systems in pub.TABLE2.items():
         report = reports[spec]
         table = table_for(report.max_n)
-        canons = [newton_quadratic(*seq[:3]).canonicalize()[0] for seq in systems.values()]
-        found = find_arms(report.arms, canons)
-        for (name, seq), canon, arm in zip(systems.items(), canons, found):
+        firsts = np.array([seq[:3] for seq in systems.values()], dtype=np.int64)
+        keys = list(map(tuple, canonical_keys(*firsts.T)[0].T.tolist()))
+        found = find_arms(report.arms, keys)
+        for (name, seq), key, arm in zip(systems.items(), keys, found):
             if arm is None:
                 out.append(_flag(f"table2.{spec}.{name}", False, "not found",
-                                 str(canon)))
+                                 poly_str(*half_strs(key))))
                 continue
             # reachable by winding-window tracing: the members after the last step out
             fails = ~in_window(np.diff(table.cum_angle[np.array(seq) - 1]))
@@ -431,8 +441,29 @@ _SUITE_FUNCS = {name: globals()[f"suite_{name}"] for name in SUITES}
 
 
 def run_suite(name: str) -> list[Check]:
-    names = SUITES if name == "all" else (name,)
-    return [c for suite in names for c in _SUITE_FUNCS[suite]()]  # KeyError if unknown
+    """The checks of one suite, or of every suite in SUITES order for "all".
+    Then the constants walk, which needs the GIL only between numpy calls,
+    runs on a second thread while the other suites run on this one."""
+    if name != "all":
+        return _SUITE_FUNCS[name]()  # KeyError if unknown
+    done = []
+
+    def walk():
+        try:
+            done.append(_c2_walk())
+        except BaseException as exc:  # raised below, in the caller's thread
+            done.append(exc)
+
+    helper = threading.Thread(target=walk, name="sqspiral-c2-walk")
+    helper.start()
+    try:
+        checks = {s: _SUITE_FUNCS[s]() for s in SUITES if s != "constants"}
+    finally:
+        helper.join()
+    if isinstance(done[0], BaseException):
+        raise done[0]
+    checks["constants"] = _SUITE_FUNCS["constants"](done[0])
+    return [c for s in SUITES for c in checks[s]]
 
 
 def render_report(checks) -> str:

@@ -4,6 +4,7 @@ Run with `pytest -v tests/test_acceptance.py` (or `sqspiral verify all` for
 the same checks through the CLI).
 """
 import hashlib
+import threading
 import time
 
 import pytest
@@ -102,3 +103,46 @@ def test_criterion_11_determinism(suites):
 def test_golden_verify_all_report(suites):
     report = verify.render_report([c for name in verify.SUITES for c in suites[name]])
     assert hashlib.sha256(report.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
+def test_run_all_is_every_suite_in_order(suites):
+    before = threading.active_count()
+    checks = verify.run_suite("all")
+    assert threading.active_count() == before
+    assert checks == [c for name in verify.SUITES for c in suites[name]]
+
+
+def test_run_all_walks_on_a_second_thread_and_one_suite_inline(monkeypatch):
+    walked_on = []
+    walk = verify.exact_cum_angles
+    monkeypatch.setattr(verify, "exact_cum_angles",
+                        lambda ks: walked_on.append(threading.current_thread()) or walk(ks))
+    verify.run_suite("constants")
+    verify.run_suite("all")
+    assert walked_on[0] is threading.main_thread()
+    assert walked_on[1] is not threading.main_thread()
+
+
+def test_run_all_raises_the_walk_error_and_leaves_no_thread(monkeypatch):
+    error = ArithmeticError("walk failed")
+
+    def failing_walk(ks):
+        raise error
+
+    monkeypatch.setattr(verify, "exact_cum_angles", failing_walk)
+    before = threading.enumerate()
+    with pytest.raises(ArithmeticError) as raised:
+        verify.run_suite("all")
+    assert raised.value is error
+    assert threading.enumerate() == before
+
+
+def test_run_all_joins_the_walk_when_a_suite_fails(monkeypatch):
+    def failing_suite():
+        raise LookupError("suite failed")
+
+    monkeypatch.setitem(verify._SUITE_FUNCS, "table1", failing_suite)  # the walk still runs
+    before = threading.enumerate()
+    with pytest.raises(LookupError, match="suite failed"):
+        verify.run_suite("all")
+    assert threading.enumerate() == before

@@ -11,7 +11,7 @@ from sqspiral import verify
 from sqspiral.arms import (DIRECTIONS, MIN_ARM_LEN, WINDOW_HI, WINDOW_LO, Arm,
                            NumberGroup, _keep, _walk,
                            arm_columns, traced_arms,
-                           b_hat_lattice_ok, direction_codes,
+                           b_hat_lattice_ok, canonical_keys, direction_codes,
                            enumerate_arms, find_arms, in_window, members,
                            parse_group, trace_arm, verify_rule_5_2, report_csv,
                            report_json, window_seeds)
@@ -179,12 +179,12 @@ def test_arm_columns_reads_each_walk(table2000):
 
 def test_find_arm_by_canonical_polynomial():
     arms = _cached_arm_reports()["div:13"].arms
-    found = find_arms(arms, [arm.poly for arm in arms])
+    found = find_arms(arms, [arm.poly.doubled() for arm in arms])
     assert len(found) == len(arms) and all(f is arm for f, arm in zip(found, arms))
-    canon, _ = newton_quadratic(26, 91, 182).canonicalize()
-    first = arms[0].poly
-    missing = [QuadraticPoly(1000, 0, 1), QuadraticPoly(Fr(13, 2), Fr(1, 3), 0),
-               QuadraticPoly(first.a, first.b, first.c - 10**6)]  # D and b of an arm
+    canon = newton_quadratic(26, 91, 182).canonicalize()[0].doubled()
+    d, b2, c2 = arms[0].poly.doubled()
+    # past every row, before every row, and the D and 2b of an arm
+    missing = [(2000, 0, 2), (-13, 0, 0), (d, b2, c2 - 2 * 10**6)]
     found = find_arms(arms, [missing[0], canon, missing[1], missing[2]])
     assert found[1].members[:3] == (26, 91, 182)
     assert found[0] is None
@@ -192,6 +192,18 @@ def test_find_arm_by_canonical_polynomial():
     assert found[3] is None
     assert find_arms([], [canon]) == [None]
     assert find_arms(arms, []) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 60), st.integers(1, 20)),
+                min_size=1, max_size=8))
+def test_canonical_keys_are_the_canonical_fits(firsts):
+    """Integer keys from three members equal the Fraction fit's doubled canonical form."""
+    seqs = [(m1, m1 + g1, m1 + g1 + g1 + g2) for m1, g1, g2 in firsts]  # D = g2 >= 1
+    keys, shift = canonical_keys(*np.array(seqs, dtype=np.int64).T)
+    fits = [newton_quadratic(*seq).canonicalize() for seq in seqs]
+    assert [tuple(k) for k in keys.T.tolist()] == [poly.doubled() for poly, _ in fits]
+    assert shift.tolist() == [s for _, s in fits]
 
 
 def test_table2_and_rule52_build_polynomials_only_where_read(monkeypatch):
@@ -488,6 +500,15 @@ def _table2_reachable():
             for c in verify.suite_table2() if " contains " in c.expected]
 
 
+def test_table2_not_found_rows_print_the_canonical_fit(monkeypatch):
+    monkeypatch.setattr(verify, "find_arms", lambda arms, keys: [None] * len(keys))
+    rows = [c for c in verify.suite_table2() if c.measured == "not found"]
+    assert [c.expected for c in rows] == [
+        str(newton_quadratic(*seq[:3]).canonicalize()[0])
+        for systems in TABLE2.values() for seq in systems.values()]
+    assert not any(c.ok for c in rows)
+
+
 def test_table2_reachable_suffix_matches_the_scalar_walk():
     reports = _cached_arm_reports()
     assert _table2_reachable() == [
@@ -518,5 +539,5 @@ def test_table2_reachable_suffix_restarts_after_a_middle_break(seq):
                                      for a, b in zip(seq[1:], seq[2:])))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify.pub, "TABLE2", {"div:7": {"N1": tuple(seq)}})
-        mp.setattr(verify, "find_arms", lambda arms, polys: [arms[0]] * len(polys))
+        mp.setattr(verify, "find_arms", lambda arms, keys: [arms[0]] * len(keys))
         assert _table2_reachable() == [oracle.window_filtered(table, seq)]

@@ -137,6 +137,16 @@ def _cumsum_angles(ks):
     return {k: w[k] for k in ks}, plain
 
 
+def test_in_place_blocks_build_the_allocating_blocks():
+    # each block's prefix is made in one array with out=; the table's bits are
+    # those of np.cumsum(np.arctan(1.0 / np.sqrt(k))), partial last block too
+    top = 3 * CHUNK + 5
+    oracle = np.zeros(top + 1)
+    for lo, hi, base, prefix in _cumsum_walk(top):
+        oracle[lo:hi] = base + prefix
+    assert build_table(top).cum_angle.tobytes() == oracle.tobytes()
+
+
 def test_every_block_total_to_1e7_is_the_cumsum_total():
     # no index read: the 152 full blocks are one slab, the partial last a cumsum
     walk, oracle = list(_blocks(10**7, ())), list(_cumsum_walk(10**7))
