@@ -7,6 +7,8 @@ charts (band-area ratios, successor-square angles).
 """
 import pathlib
 
+import numpy as np
+
 from sqspiral.arms import enumerate_arms, parse_group
 from sqspiral.series import square_angle_series, square_band_ratio_series
 from sqspiral.svg import GroupStyle, RenderSpec, render_report_figure, render_svg
@@ -21,9 +23,10 @@ def main() -> None:
     (out / "spiral_bare.svg").write_text(
         render_svg(table, RenderSpec(max_n=300)))
 
+    # an arm table's row 0 is each arm's second differential D
     squares = parse_group("squares")
-    q_arms = [a for a in enumerate_arms(table, squares, 300)
-              if a.second_differential == 18]
+    arms = enumerate_arms(table, squares, 300)
+    q_arms = arms.member_tuples(np.flatnonzero(arms.cols[0] == 18))
     (out / "spiral_squares.svg").write_text(render_svg(table, RenderSpec(
         max_n=300, groups=(GroupStyle(squares, color="#2d7d46"),),
         arm_overlays=tuple(q_arms))))
@@ -31,8 +34,7 @@ def main() -> None:
     for spec_str, color in (("div:7", "#b03a2e"), ("div:11", "#b08c2e")):
         group = parse_group(spec_str)
         arms = enumerate_arms(table, group, 600)
-        dominant = [a for a in arms
-                    if a.second_differential in (20, 21, 22)][:12]
+        dominant = arms.member_tuples(np.flatnonzero(np.isin(arms.cols[0], (20, 21, 22)))[:12])
         name = spec_str.replace(":", "")
         (out / f"spiral_{name}.svg").write_text(render_svg(table, RenderSpec(
             max_n=600, groups=(GroupStyle(group, color=color),),

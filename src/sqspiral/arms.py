@@ -203,15 +203,15 @@ def direction_codes(drift, first, count):
 
 def trace_arm(table: SpiralTable, memberset, seed, max_n: int,
               density: float = 1.0):
-    """The walk of one seed, as `traced_arms` walks every seed; None (a
-    rejection) if mid-chain or shorter than MIN_ARM_LEN."""
+    """The walk of one seed, as a block of one seed that `traced_arms` walks;
+    None (a rejection) if mid-chain or shorter than MIN_ARM_LEN."""
     m1, m2, m3 = seed
     if not (m1 < m2 < m3):
         raise ValueError("seed must be strictly increasing")
     if max_n > table.max_n:
         raise ValueError(f"table covers only {table.max_n} < max_n={max_n}")
-    arms = _keep(_walk(table, list(memberset),
-                       np.array([[m1], [m2], [m3]], dtype=np.int64), max_n, density))
+    arms = _trace_blocks(table, list(memberset), max_n,
+                         [np.array([[m1], [m2], [m3]], dtype=np.int64)], density)
     return arms[0] if arms else None
 
 
@@ -222,10 +222,16 @@ def _ranges(start, stop):
     return owner, np.arange(len(owner)) - (np.cumsum(count) - count)[owner] + start[owner]
 
 
+#: Seeds per block of a walk: what bounds the engine's transient memory.
+SEED_BLOCK = 1 << 16
+
+
 def window_seeds(table: SpiralTable, mem, max_n: int):
-    """Seed triples (m1, m2, m3) of the sorted members `mem`, the columns of an
-    int64 array of shape (3, seeds) in lexicographic order: convex
-    (m1 - 2*m2 + m3 > 0), each step inside the winding window, m1 <= max_n/4."""
+    """Seed triples (m1, m2, m3) of the sorted members `mem`, in lexicographic
+    order: convex (m1 - 2*m2 + m3 > 0), each step inside the winding window,
+    m1 <= max_n/4.  Yields them in blocks of at most SEED_BLOCK, each the
+    columns of an int64 array of shape (3, seeds); the (m1, m2) pairs are
+    found once, a block's m3s only when it is asked for."""
     if max_n > table.max_n:
         raise ValueError(f"table covers only {table.max_n} < max_n={max_n}")
     mem = np.asarray(mem, dtype=np.int64)
@@ -237,24 +243,28 @@ def window_seeds(table: SpiralTable, mem, max_n: int):
     # mem is sorted, so the convex m3 > 2*m2 - m1 are a suffix of j's window
     first = np.clip(np.searchsorted(mem, 2 * mem[j] - mem[i], side="right"),
                     lo[j], hi[j])
-    pair, k = _ranges(first, hi[j])
-    return np.stack([mem[i[pair]], mem[j[pair]], mem[k]])
+    ends = np.cumsum(hi[j] - first)        # seed positions: pair k's are [before, ends)
+    before, m1, m2 = ends - (hi[j] - first), mem[i], mem[j]
+    m3_at = first - before                 # + a seed's position: its m3's index in mem
+    for s in range(0, int(ends[-1]) if len(ends) else 0, SEED_BLOCK):
+        p = slice(np.searchsorted(ends, s, side="right"), np.searchsorted(before, s + SEED_BLOCK))
+        pair, at = _ranges(np.maximum(before[p], s), np.minimum(ends[p], s + SEED_BLOCK))
+        yield np.stack([m1[p][pair], m2[p][pair], mem[m3_at[p][pair] + at]])
 
 
-def _walk(table: SpiralTable, mem, seeds, max_n: int, density: float):
-    """Walk every seed (a column of `seeds`) at once over the members `mem`
-    up to max_n, one step at a time over the live ones.
+def _walk(table: SpiralTable, bitmap: np.ndarray, seeds, density: float):
+    """Walk every seed (a column of `seeds`) at once over the members `bitmap`
+    marks on 0..max_n, one step at a time over the live ones.
 
     Mid-chain seeds (a window-valid member before m1) are dropped, so each
     chain is walked once.  The walk steps to 2*cur - prev + D: to a member
     always, to a non-member while members / (length + 1) >= `density`, only
     inside the winding window; arms end on their last member.  Each visited
-    angle is read once, as `table.cum_angle[n - 1]`.  Returns (seeds, each
-    seed's arm length, columns), column i the (seed index, ray, step) of the
-    seeds that took step i.
+    angle is read once, as `table.cum_angle[n - 1]`.  Returns each seed's
+    arm length (0 if rejected) and the drifts (advance - TAU, one per step)
+    of the seeds of an arm of at least MIN_ARM_LEN members, in seed order.
     """
-    bitmap = np.isin(np.arange(max_n + 1), mem)
-    cum = table.cum_angle
+    max_n, cum = len(bitmap) - 1, table.cum_angle
     m1, m2, m3 = seeds
     d1, dd = m2 - m1, m1 - 2 * m2 + m3
     prv = m1 - d1 + dd                     # the polynomial's value at t = 0
@@ -264,21 +274,26 @@ def _walk(table: SpiralTable, mem, seeds, max_n: int, density: float):
     live[mid[in_window(adv)]] = False
     sid = np.flatnonzero(live)
     cur, gap, angle = m1[sid], d1[sid], cum[m1[sid] - 1]
-    hits, length, columns = np.ones(len(sid), dtype=np.int64), live.astype(np.int64), []
-    while len(sid):                        # a live arm has len(columns) + 1 rays
+    hits, length, steps = np.ones(len(sid), dtype=np.int64), live.astype(np.int64), []
+    while len(sid):                        # a live arm has len(steps) + 1 rays
         nxt = cur + gap
         inside = nxt <= max_n
         member = inside & bitmap[np.minimum(nxt, max_n)]
-        go = np.flatnonzero(inside & (member | (hits / (len(columns) + 2) >= density)))
+        go = np.flatnonzero(inside & (member | (hits / (len(steps) + 2) >= density)))
         nxt_angle = cum[nxt[go] - 1]
         step = nxt_angle - angle[go]
         win = in_window(step)
         go = go[win]
         sid, cur, angle, member = sid[go], nxt[go], nxt_angle[win], member[go]
-        columns.append((sid, cur, step[win]))
-        length[sid[member]] = len(columns) + 1
+        steps.append((sid, step[win]))
+        length[sid[member]] = len(steps) + 1
         gap, hits = gap[go] + dd[sid], hits[go] + member
-    return seeds, length, columns
+    span = np.where(length >= MIN_ARM_LEN, length - 1, 0)
+    at, drift = np.cumsum(span) - span - 1, np.empty(span.sum())
+    for col, (sid, step) in enumerate(steps, 1):
+        use = col <= span[sid]
+        drift[at[sid[use]] + col] = step[use] - TAU
+    return length, drift
 
 
 def _firsts(key: np.ndarray) -> np.ndarray:
@@ -299,46 +314,69 @@ def canonical_keys(m1, m2, m3):
                      2 * prv + dd * shift * shift + b2 * shift]), shift
 
 
-def _keep(walk, longest: bool = False) -> Arms:
-    """The arms of a `_walk` with at least MIN_ARM_LEN members, one per
-    canonical (D, 2b, 2c), D = 2a, in that order: the first in seed order, or
-    with `longest` the longest, the first on a tie.
+def _keep(found: np.ndarray, drifts: np.ndarray, longest: bool = False) -> Arms:
+    """The arms of the walked seeds `found`, an int64 array of rows m1, m2,
+    m3 and arm length, in seed order, with their drifts `drifts` (one per
+    step, in the same order): one per canonical (D, 2b, 2c), D = 2a, in that
+    order, the first in seed order, or with `longest` the longest, the first
+    on a tie.
 
-    Direction codes are `direction_codes` of the steps' drifts, one per step,
-    so an arm of k members has k - 1.  The walk's columns are emptied as read.
+    Member i of an arm is its polynomial's m1 + i*d1 + D*i*(i - 1)/2; an arm
+    of k members has k - 1 drifts, and its direction code is
+    `direction_codes` of them.  Rebuilt about SEED_BLOCK members at a time.
     """
-    seeds, length, columns = walk
-    kept = np.flatnonzero(length >= MIN_ARM_LEN)
-    key, shift = canonical_keys(*seeds[:, kept])
-    order = np.lexsort(((-length[kept],) if longest else ()) + tuple(key[::-1]))
+    m1, m2, m3, length = found
+    key, shift = canonical_keys(m1, m2, m3)
+    order = np.lexsort(((-length,) if longest else ()) + tuple(key[::-1]))
     key = key[:, order]                    # lexsort is stable: seed order on ties
     first = _firsts(key)
-    (dd, b2, c2), pick = key[:, first], order[first]
-    kept, shift, size = kept[pick], shift[pick], length[kept[pick]]
-    start = np.cumsum(size) - size
-    d_lo = start - np.arange(len(size))    # an arm's first drift: one per step
-    at, span, d_at = np.zeros((3, len(length)), dtype=np.int64)   # per seed
-    at[kept], span[kept], d_at[kept] = start, size, d_lo - 1
+    cols, pick = np.empty((9, np.count_nonzero(first)), dtype=np.int64), order[first]
+    cols[:3], cols[3] = key[:, first], 1 - shift[pick]
+    del key, shift, order, first           # peak memory: freed before the members are made
+    dd, _, _, _, code, start, stop, d_lo, d_hi = cols
+    size, m1, d1 = length[pick], m1[pick], m2[pick] - m1[pick]
+    d_at = (np.cumsum(length - 1) - length)[pick]   # its drifts, less one, in `drifts`
+    stop[:] = np.cumsum(size)
+    start[:] = stop - size
+    d_lo[:] = start - np.arange(len(size))     # an arm's first drift: one per step
+    d_hi[:] = d_lo + size - 1
     mem, drift = np.empty(size.sum(), dtype=np.int64), np.empty(size.sum() - size.size)
-    mem[start] = seeds[0, kept]
-    for col in range(len(columns), 0, -1):    # peak memory: free each column once read
-        sid, ray, step = columns.pop()
-        use = col < span[sid]
-        sid = sid[use]
-        mem[at[sid] + col], drift[d_at[sid] + col] = ray[use], step[use] - TAU
-    code = direction_codes(drift, d_lo, size - 1)
-    return Arms(np.stack([dd, b2, c2, 1 - shift, code, start, start + size, d_lo,
-                          d_lo + size - 1]), mem, drift)
+    # the arms whose first member is the first in a new run of SEED_BLOCK members
+    cut = np.r_[np.flatnonzero(np.diff(start // SEED_BLOCK, prepend=-1)), len(size)].tolist()
+    for a, b in zip(cut, cut[1:]):         # arms a..b-1
+        arm, i = _ranges(np.zeros(b - a, dtype=np.int64), size[a:b])
+        mem[start[a]:stop[b - 1]] = (m1[a:b][arm] + i * d1[a:b][arm]
+                                     + dd[a:b][arm] * (i * (i - 1) // 2))
+        part = drift[d_lo[a]:d_hi[b - 1]]
+        part[:] = drifts[(d_at[a:b][arm] + i)[i > 0]]
+        code[a:b] = direction_codes(part, d_lo[a:b] - d_lo[a], size[a:b] - 1)
+    return Arms(cols, mem, drift)
+
+
+def _trace_blocks(table: SpiralTable, mem, max_n: int, blocks, density: float,
+                 longest: bool = False) -> Arms:
+    """`_keep` of the seeds of `blocks`, walked a block at a time over the
+    members `mem` up to max_n; of each block only the seeds of an arm of at
+    least MIN_ARM_LEN members are kept, with their lengths and drifts."""
+    bitmap = np.isin(np.arange(max_n + 1), mem)
+    found, drifts = [np.empty((4, 0), dtype=np.int64)], [np.empty(0)]
+    for seeds in blocks:
+        length, drift = _walk(table, bitmap, seeds, density)
+        found.append(np.vstack([seeds, length])[:, length >= MIN_ARM_LEN])
+        drifts.append(drift)
+    found, drifts = np.hstack(found), np.concatenate(drifts)   # the pieces freed
+    return _keep(found, drifts, longest)
 
 
 def traced_arms(table: SpiralTable, mem, max_n: int, density: float = 1.0,
                 second_differential=None, longest: bool = False) -> Arms:
-    """Arms traced at `density` from `window_seeds(table, mem, max_n)` (of
-    one second differential, when given), as `_keep` dedupes and orders them."""
-    seeds = window_seeds(table, mem, max_n)
+    """Arms traced at `density` from the blocks of `window_seeds(table, mem,
+    max_n)` (of one second differential, when given), as `_keep` dedupes
+    and orders them."""
+    blocks = window_seeds(table, mem, max_n)
     if second_differential is not None:
-        seeds = seeds[:, seeds[0] - 2 * seeds[1] + seeds[2] == second_differential]
-    return _keep(_walk(table, mem, seeds, max_n, density), longest)
+        blocks = (s[:, s[0] - 2 * s[1] + s[2] == second_differential] for s in blocks)
+    return _trace_blocks(table, mem, max_n, blocks, density, longest)
 
 
 def arm_columns(arms, bitmap: np.ndarray):

@@ -233,7 +233,8 @@ def cmd_render(args, cfg: Config) -> int:
     overlays = []
     if args.arms:
         for gs in groups:
-            overlays.extend(arms_mod.enumerate_arms(table, gs.group, max_n))
+            arms = arms_mod.enumerate_arms(table, gs.group, max_n)
+            overlays.extend(arms.member_tuples(range(len(arms))))
     spec_kwargs = dict(max_n=max_n, groups=groups, arm_overlays=tuple(overlays),
                        mirror=args.mirror or cfg.mirror)
     if style:

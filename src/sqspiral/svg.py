@@ -43,7 +43,7 @@ class GroupStyle:
 class RenderSpec:
     max_n: int
     groups: tuple = ()
-    arm_overlays: tuple = ()          # Arm objects
+    arm_overlays: tuple = ()          # member sequences, one per arm
     mirror: bool = False
     style: dict = field(default_factory=lambda: dict(DEFAULT_STYLE))
 
@@ -89,8 +89,7 @@ def render_svg(table: SpiralTable, spec: RenderSpec) -> str:
         color = ARM_COLORS[idx % len(ARM_COLORS)]
         pts = " ".join(
             f"{_fmt(x)},{_fmt(y)}"
-            for x, y in (_point(table, n, spec)
-                         for n in arm.members if n <= spec.max_n))
+            for x, y in (_point(table, n, spec) for n in arm if n <= spec.max_n))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{style["arm.width"]}"/>')

@@ -9,6 +9,7 @@ import dataclasses
 import gc
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 from itertools import groupby
 
@@ -20,6 +21,7 @@ from sqspiral.arms import (Arm, Arms, classify_systems, enumerate_arms, members,
                            pack_arms, parse_group, traced_arms)
 from sqspiral.primes import PRIME_DENSITY
 from sqspiral.ratpoly import QuadraticPoly
+from sqspiral.table import table_for
 from sqspiral.verify import _cached_arm_reports
 
 
@@ -92,6 +94,21 @@ def test_an_arm_is_a_record_that_pickles_alone():
     hand = Arm([5, 9, 14], QuadraticPoly(Fraction(1, 2), Fraction(5, 2), 2), 1, [0.1, -0.2],
                "N")
     assert hand.members == (5, 9, 14) and hand.drifts == (0.1, -0.2)
+
+
+def test_a_walk_holds_little_beside_its_table():
+    """The seeds are walked in bounded blocks and the kept arms rebuilt in
+    bounded blocks, so the walk's traced peak stays within 2.75 times the
+    bytes of the table it returns (div:2 at 1200: 274,300 seeds, 84,961 arms)."""
+    table = table_for(1200)
+    tracemalloc.start()
+    try:
+        arms = enumerate_arms(table, parse_group("div:2"), 1200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(arms) == 84961
+    assert peak <= 2.75 * (arms.cols.nbytes + arms.mem.nbytes + arms.drift.nbytes)
 
 
 @pytest.mark.parametrize("spec, density", [("div:7", 1.0), ("primes", PRIME_DENSITY)])

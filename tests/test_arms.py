@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from sqspiral import verify
-from sqspiral.arms import (DIRECTIONS, MIN_ARM_LEN, WINDOW_HI, WINDOW_LO, Arm,
-                           NumberGroup, _keep, _walk,
+from sqspiral import arms as arms_mod, verify
+from sqspiral.arms import (DIRECTIONS, MIN_ARM_LEN, SEED_BLOCK, WINDOW_HI, WINDOW_LO, Arm,
+                           NumberGroup, _walk,
                            arm_columns, traced_arms,
                            b_hat_lattice_ok, canonical_keys, direction_codes,
                            enumerate_arms, find_arms, in_window, members,
@@ -425,6 +425,12 @@ def test_enumerate_matches_brute_force(table400, spec, count):
     assert {a.members for a in enumerate_arms(table400, group, 300)} == expected
 
 
+def _seed_list(table, mem, max_n):
+    """window_seeds' triples, every block's in order, as one list of tuples."""
+    return [tuple(seed) for seeds in window_seeds(table, mem, max_n)
+            for seed in seeds.T.tolist()]
+
+
 @st.composite
 def list_groups(draw):
     """(n, group): n <= 200 and 0-40 members: n, n // 4 (the last seed start),
@@ -434,7 +440,7 @@ def list_groups(draw):
     edges = [max(1, v) for v in (n, n - 1, n // 4, n // 4 + 1)]
     vals = draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(1, n)),
                          max_size=32))
-    seeds = list(zip(*window_seeds(table_for(400), range(1, n + 1), n).tolist()))
+    seeds = _seed_list(table_for(400), range(1, n + 1), n)
     if seeds:
         m1, m2, m3 = draw(st.sampled_from(seeds))
         run = [m1 + k * (m2 - m1) + k * (k - 1) // 2 * (m1 - 2 * m2 + m3)
@@ -445,11 +451,15 @@ def list_groups(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(list_groups())
-def test_enumerate_matches_brute_force_on_random_lists(table400, case):
+@given(list_groups(), st.sampled_from([1, 7, SEED_BLOCK]))
+def test_enumerate_matches_brute_force_on_random_lists(table400, case, block):
+    """At any seed block size: with blocks of 1 or 7 seeds, chains and the
+    dedupe of a polynomial's seeds cross block edges."""
     n, group = case
-    assert {a.members for a in enumerate_arms(table400, group, n)} == \
-        _brute_force_arms(table400, group, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arms_mod, "SEED_BLOCK", block)
+        assert {a.members for a in enumerate_arms(table400, group, n)} == \
+            _brute_force_arms(table400, group, n)
 
 
 @pytest.mark.parametrize("spec", ["div:2", "div:3", "primes"])
@@ -459,23 +469,30 @@ def test_each_chain_traced_once(table400, spec):
     many as the arms kept; and they are as many as the brute-force runs."""
     group = parse_group(spec)
     mem = members(group, 300)
-    walk = _walk(table400, mem, window_seeds(table400, mem, 300), 300, 1.0)
-    yielded = np.count_nonzero(walk[1] >= MIN_ARM_LEN)   # walk[1]: arm lengths
-    traced = [arm.members for arm in _keep(walk)]
+    bitmap = np.isin(np.arange(301), mem)
+    yielded = sum(np.count_nonzero(_walk(table400, bitmap, seeds, 1.0)[0] >= MIN_ARM_LEN)
+                  for seeds in window_seeds(table400, mem, 300))   # [0]: arm lengths
+    traced = [arm.members for arm in traced_arms(table400, mem, 300)]
     assert len(set(traced)) == len(traced) == yielded
     assert yielded == len(_brute_force_arms(table400, group, 300))
 
 
 @pytest.mark.parametrize("spec", ["div:2", "primes"])
-def test_window_seeds_match_brute_force(table400, spec):
+def test_window_seeds_match_brute_force(table400, spec, monkeypatch):
     """window_seeds' searchsorted bounds agree with in_window, triple by triple
-    and in lexicographic order, so each chain's first triple is a seed."""
+    and in lexicographic order, so each chain's first triple is a seed; cut
+    into blocks of SEED_BLOCK seeds, each block full but the last."""
     mem = members(parse_group(spec), 300)
     expected = [(m1, m2, m3) for m1, m2, m3 in itertools.combinations(mem, 3)
                 if m1 <= 75 and m1 - 2 * m2 + m3 > 0
                 and oracle.in_window(table400, m1, m2)
                 and oracle.in_window(table400, m2, m3)]
-    assert list(zip(*window_seeds(table400, mem, 300).tolist())) == expected
+    assert _seed_list(table400, mem, 300) == expected
+    for block in (1, 7, 1000):
+        monkeypatch.setattr(arms_mod, "SEED_BLOCK", block)
+        sizes = [seeds.shape[1] for seeds in window_seeds(table400, mem, 300)]
+        assert _seed_list(table400, mem, 300) == expected
+        assert sizes[:-1] == [block] * (len(sizes) - 1) and 1 <= sizes[-1] <= block
 
 
 def test_window_predicate_matches_the_scalar_oracle():

@@ -15,6 +15,7 @@ import hashlib
 
 import pytest
 
+from sqspiral import arms
 from sqspiral.arms import report_csv, report_json
 from sqspiral.cli import EXIT_OK, main
 from sqspiral.verify import _cached_arm_reports
@@ -95,6 +96,15 @@ def fresh_cwd(tmp_path, monkeypatch):
 def test_arm_report_digests(spec):
     report = _cached_arm_reports()[spec]
     assert (_sha(report_json(report)), _sha(report_csv(report))) == ARM_REPORTS[spec]
+
+
+def test_arm_report_digests_in_small_seed_blocks(monkeypatch):
+    """Walked in blocks of 300 seeds (div:2 alone has about 90,000), so chains
+    and a polynomial's seeds cross block edges, the nine reports keep their bytes."""
+    monkeypatch.setattr(arms, "SEED_BLOCK", 300)
+    reports = _cached_arm_reports.__wrapped__()
+    assert {spec: (_sha(report_json(report)), _sha(report_csv(report)))
+            for spec, report in reports.items()} == ARM_REPORTS
 
 
 @pytest.mark.parametrize("argv", list(CLI_STDOUT))

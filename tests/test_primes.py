@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sqspiral import primes
-from sqspiral.arms import MIN_ARM_LEN, window_seeds
+from sqspiral import arms
+from sqspiral.arms import MIN_ARM_LEN, SEED_BLOCK, window_seeds
 from sqspiral.primes import (coprime6_check, pnt_baseline, prime_arm_report,
                              scan_prime_polys, scan_csv, sieve)
 from sqspiral.ratpoly import QuadraticPoly, newton_quadratic
@@ -154,7 +155,8 @@ def _prime_arms_oracle(table, max_n, density):
     longest arm (the first found on a tie)."""
     bitmap = sieve(max_n).bitmap
     found = {}
-    for m1, m2, m3 in window_seeds(table, np.flatnonzero(bitmap), max_n).T.tolist():
+    for m1, m2, m3 in (seed for seeds in window_seeds(table, np.flatnonzero(bitmap), max_n)
+                       for seed in seeds.T.tolist()):
         if m1 - 2 * m2 + m3 != 18:
             continue
         mem, count, end = [m1, m2, m3], 3, 3
@@ -180,11 +182,17 @@ def _prime_arms_oracle(table, max_n, density):
 @pytest.mark.parametrize("density", [0.3, 0.6, 1.0])
 @pytest.mark.parametrize("max_n", [300, 2000, 5000])
 def test_prime_arm_report_matches_old_walk(monkeypatch, max_n, density):
+    """At any seed block size: with blocks of 1 or 7 seeds, a polynomial's
+    longest arm and its ties are chosen across block edges (blocks of one
+    seed only at n = 300, where they are quick)."""
     table = table_for(5000)
     monkeypatch.setattr(primes, "PRIME_DENSITY", density)
-    got = [(a.members, a.poly, a.prime_count, a.density, a.coprime6)
-           for a in prime_arm_report(table, max_n)]
-    assert got == _prime_arms_oracle(table, max_n, density)
+    expected = _prime_arms_oracle(table, max_n, density)
+    for block in (SEED_BLOCK, 7, 1)[:3 if max_n == 300 else 2]:
+        monkeypatch.setattr(arms, "SEED_BLOCK", block)
+        got = [(a.members, a.poly, a.prime_count, a.density, a.coprime6)
+               for a in prime_arm_report(table, max_n)]
+        assert got == expected, block
 
 
 def test_scan_csv_shape():

@@ -61,7 +61,7 @@ def test_arm_overlay(table2000):
     from sqspiral.arms import enumerate_arms
     group = parse_group("div:11")
     arms = enumerate_arms(table2000, group, 600)
-    spec = RenderSpec(max_n=600, arm_overlays=tuple(arms[:2]))
+    spec = RenderSpec(max_n=600, arm_overlays=tuple(arms.member_tuples([0, 1])))
     doc = render_svg(table2000, spec)
     assert doc.count("<polyline") == 3  # boundary + two arms
 
