@@ -427,8 +427,7 @@ def test_enumerate_matches_brute_force(table400, spec, count):
 
 def _seed_list(table, mem, max_n):
     """window_seeds' triples, every block's in order, as one list of tuples."""
-    return [tuple(seed) for seeds in window_seeds(table, mem, max_n)
-            for seed in seeds.T.tolist()]
+    return [seed for seeds in window_seeds(table, mem, max_n) for seed in zip(*seeds.tolist())]
 
 
 @st.composite
@@ -464,9 +463,10 @@ def test_enumerate_matches_brute_force_on_random_lists(table400, case, block):
 
 @pytest.mark.parametrize("spec", ["div:2", "div:3", "primes"])
 def test_each_chain_traced_once(table400, spec):
-    """One walk over every window seed.  `_keep` keeps one arm per polynomial,
-    so no run is walked twice when the seeds whose walk yields an arm are as
-    many as the arms kept; and they are as many as the brute-force runs."""
+    """The walk of every block of window seeds.  `_keep` keeps one arm per
+    polynomial, so no run is walked twice when the seeds whose walk yields an
+    arm are as many as the arms kept; and they are as many as the brute-force
+    runs."""
     group = parse_group(spec)
     mem = members(group, 300)
     bitmap = np.isin(np.arange(301), mem)
@@ -490,8 +490,9 @@ def test_window_seeds_match_brute_force(table400, spec, monkeypatch):
     assert _seed_list(table400, mem, 300) == expected
     for block in (1, 7, 1000):
         monkeypatch.setattr(arms_mod, "SEED_BLOCK", block)
-        sizes = [seeds.shape[1] for seeds in window_seeds(table400, mem, 300)]
-        assert _seed_list(table400, mem, 300) == expected
+        blocks = list(window_seeds(table400, mem, 300))
+        assert [seed for seeds in blocks for seed in zip(*seeds.tolist())] == expected
+        sizes = [seeds.shape[1] for seeds in blocks]
         assert sizes[:-1] == [block] * (len(sizes) - 1) and 1 <= sizes[-1] <= block
 
 

@@ -183,12 +183,12 @@ def _prime_arms_oracle(table, max_n, density):
 @pytest.mark.parametrize("max_n", [300, 2000, 5000])
 def test_prime_arm_report_matches_old_walk(monkeypatch, max_n, density):
     """At any seed block size: with blocks of 1 or 7 seeds, a polynomial's
-    longest arm and its ties are chosen across block edges (blocks of one
-    seed only at n = 300, where they are quick)."""
+    longest arm and its ties are chosen across block edges (tiny blocks only
+    up to n = 2000, blocks of one seed only at n = 300, where they are quick)."""
     table = table_for(5000)
     monkeypatch.setattr(primes, "PRIME_DENSITY", density)
     expected = _prime_arms_oracle(table, max_n, density)
-    for block in (SEED_BLOCK, 7, 1)[:3 if max_n == 300 else 2]:
+    for block in {300: (SEED_BLOCK, 7, 1), 2000: (SEED_BLOCK, 7), 5000: (SEED_BLOCK,)}[max_n]:
         monkeypatch.setattr(arms, "SEED_BLOCK", block)
         got = [(a.members, a.poly, a.prime_count, a.density, a.coprime6)
                for a in prime_arm_report(table, max_n)]
