@@ -46,6 +46,8 @@ ARM_REPORTS = {
 CLI_STDOUT = {
     "primes --report --n 2000":
         "b440ecf3a741c595e90f50c780c322dd6b1df39995559c5bdced20dd84232a52",
+    "primes --report --n 20000":  # 603,704 window seeds: ten blocks of SEED_BLOCK
+        "da998761d01fcac1d6c9f7dd31c7256d97fefac5349823b90f8490b10226494f",
     "areas --winding-distances 3000":  # 2666 rows, none past the table end
         "6e6fb1296f1bb321cfec257b098e0ad02f70e4d7abbf1e78085266ea72fbb4c6",
     "areas --winding-distances 200000":  # 197,200 rows: several CSV blocks
