@@ -10,7 +10,8 @@ of this checkout (its src/).  The default ladder is
 
     areas --winding-distances 200000 / 2000000 / 6000000, verify all,
     arms --group div:2 --n 1200 --format json / csv,
-    primes --scan-d 18 --t 2000 --c-max 20000, areas --crossings 1000
+    primes --scan-d 18 --t 2000 --c-max 20000, areas --crossings 1000,
+    primes --report --n 200000 / 1000000
 
 Run it as, for example,
 
@@ -34,7 +35,8 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 LADDER = ("areas --winding-distances 200000", "areas --winding-distances 2000000",
           "areas --winding-distances 6000000", "verify all",
           "arms --group div:2 --n 1200 --format json", "arms --group div:2 --n 1200 --format csv",
-          "primes --scan-d 18 --t 2000 --c-max 20000", "areas --crossings 1000")
+          "primes --scan-d 18 --t 2000 --c-max 20000", "areas --crossings 1000",
+          "primes --report --n 200000", "primes --report --n 1000000")
 
 
 def run_once(argv, cwd, env):

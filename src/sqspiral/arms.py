@@ -226,25 +226,29 @@ def _ranges(start, stop):
 SEED_BLOCK = 1 << 16
 
 
-def window_seeds(table: SpiralTable, mem, max_n: int):
+def window_seeds(table: SpiralTable, mem, max_n: int, second_differential=None):
     """Seed triples (m1, m2, m3) of the sorted members `mem`, in lexicographic
-    order: convex (m1 - 2*m2 + m3 > 0), each step inside the winding window,
-    m1 <= max_n/4.  Yields them in blocks of at most SEED_BLOCK, each the
-    columns of an int64 array of shape (3, seeds); the (m1, m2) pairs are
-    found once, a block's m3s only when it is asked for."""
+    order: steps in the winding window, m1 <= max_n/4, D = m1 - 2*m2 + m3 >= 1
+    or, when given, D = second_differential.  Yields them in blocks of at most
+    SEED_BLOCK, each the columns of an int64 array of shape (3, seeds); the
+    (m1, m2) pairs with a seed are found once, a block's m3s when asked for."""
     if max_n > table.max_n:
         raise ValueError(f"table covers only {table.max_n} < max_n={max_n}")
-    mem = np.asarray(mem, dtype=np.int64)
+    mem, d = np.asarray(mem, dtype=np.int64), second_differential
     angles = table.cum_angle[mem - 1]
     lo = np.searchsorted(angles, angles + WINDOW_LO, side="right")
     hi = np.searchsorted(angles, angles + WINDOW_HI, side="left")
     n1 = np.searchsorted(mem, max_n // 4, side="right")
     i, j = _ranges(lo[:n1], hi[:n1])
-    # mem is sorted, so the convex m3 > 2*m2 - m1 are a suffix of j's window
-    first = np.clip(np.searchsorted(mem, 2 * mem[j] - mem[i], side="right"),
-                    lo[j], hi[j])
-    ends = np.cumsum(hi[j] - first)        # seed positions: pair k's are [before, ends)
-    before, m1, m2 = ends - (hi[j] - first), mem[i], mem[j]
+    # mem is sorted, so j's m3 = 2*m2 - m1 + D of a D in bounds are one run [first, stop)
+    base = 2 * mem[j] - mem[i]
+    first = np.clip(np.searchsorted(mem, base + max(d or 1, 1)), lo[j], hi[j])
+    stop = hi[j] if d is None else np.clip(np.searchsorted(mem, base + d, "right"), lo[j], hi[j])
+    seeded = stop > first                  # the pairs with a seed
+    del base
+    i, j, first, stop = i[seeded], j[seeded], first[seeded], stop[seeded]
+    ends = np.cumsum(stop - first)         # seed positions: pair k's are [before, ends)
+    before, m1, m2 = ends - (stop - first), mem[i], mem[j]
     m3_at = first - before                 # + a seed's position: its m3's index in mem
     for s in range(0, int(ends[-1]) if len(ends) else 0, SEED_BLOCK):
         p = slice(np.searchsorted(ends, s, side="right"), np.searchsorted(before, s + SEED_BLOCK))
@@ -370,13 +374,9 @@ def _trace_blocks(table: SpiralTable, mem, max_n: int, blocks, density: float,
 
 def traced_arms(table: SpiralTable, mem, max_n: int, density: float = 1.0,
                 second_differential=None, longest: bool = False) -> Arms:
-    """Arms traced at `density` from the blocks of `window_seeds(table, mem,
-    max_n)` (of one second differential, when given), as `_keep` dedupes
-    and orders them."""
-    blocks = window_seeds(table, mem, max_n)
-    if second_differential is not None:
-        blocks = (s[:, s[0] - 2 * s[1] + s[2] == second_differential] for s in blocks)
-    return _trace_blocks(table, mem, max_n, blocks, density, longest)
+    """Arms traced at `density` from `window_seeds`' blocks, as `_keep` dedupes and orders them."""
+    seeds = window_seeds(table, mem, max_n, second_differential)
+    return _trace_blocks(table, mem, max_n, seeds, density, longest)
 
 
 def arm_columns(arms, bitmap: np.ndarray):

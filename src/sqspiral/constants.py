@@ -14,10 +14,6 @@ import numpy as np
 
 from .table import TAU, SpiralTable
 
-#: Spiral constant as published (12 decimals).
-C2_PUBLISHED = -2.157782996659
-
-
 def c2_estimate(k: int, w: float) -> float:
     """c2(k) = w - 2*sqrt(k) for w = w(k); converges to the spiral constant from above."""
     return w - 2.0 * math.sqrt(k)

@@ -7,6 +7,7 @@ the y axis for comparison with mirrored drawings.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from .table import SpiralTable
@@ -29,8 +30,15 @@ WIDTH, HEIGHT = 640, 400   # report figure, pixels
 
 
 def parse_style(text: str) -> dict:
-    """Parse a key=value style file; unknown keys are rejected."""
-    return {**DEFAULT_STYLE, **parse_key_values(text, DEFAULT_STYLE, "style")}
+    """Parse a key=value style file; unknown keys are rejected, and so are colors
+    not #rgb or #rrggbb and widths and radii that are not positive decimals."""
+    style = {**DEFAULT_STYLE, **parse_key_values(text, DEFAULT_STYLE, "style")}
+    for key, value in style.items():
+        color = key in ("background", "boundary.color")
+        if not (re.fullmatch(r"#([0-9a-fA-F]{3}){1,2}", value) if color else
+                re.fullmatch(r"[0-9]*\.?[0-9]+", value) and float(value) > 0):
+            raise ValueError(f"style {key}: {value!r} is not a valid {key.split('.')[-1]}")
+    return style
 
 
 @dataclass(frozen=True)

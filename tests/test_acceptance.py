@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from sqspiral import verify
-from sqspiral.constants import C2_PUBLISHED, c2_extrapolate
+from sqspiral import published, verify
+from sqspiral.constants import c2_extrapolate
 from sqspiral.table import build_table, table_for
 from sqspiral.svg import RenderSpec, render_svg
 
@@ -40,7 +40,7 @@ def test_criterion_01_spiral_constant(suites):
     elapsed = time.perf_counter() - t0
     print(f"ACCEPTANCE 1 timing: build(1e7)+extrapolate in {elapsed:.2f}s")
     assert elapsed < 30.0
-    assert abs(c2 - C2_PUBLISHED) <= 1e-8
+    assert abs(c2 - published.C2) <= 1e-8
     _assert_all("1 (spiral constant)", [c for c in suites["constants"]
                                         if c.name.startswith("constants.c2")])
 

@@ -425,9 +425,17 @@ def test_enumerate_matches_brute_force(table400, spec, count):
     assert {a.members for a in enumerate_arms(table400, group, 300)} == expected
 
 
-def _seed_list(table, mem, max_n):
+def _seed_list(table, mem, max_n, second_differential=None):
     """window_seeds' triples, every block's in order, as one list of tuples."""
-    return [seed for seeds in window_seeds(table, mem, max_n) for seed in zip(*seeds.tolist())]
+    return [seed for seeds in window_seeds(table, mem, max_n, second_differential)
+            for seed in zip(*seeds.tolist())]
+
+
+def _assert_blocks(blocks, expected, block):
+    """`blocks` hold the seeds `expected` in order, SEED_BLOCK = `block` each but the last."""
+    assert [seed for seeds in blocks for seed in zip(*seeds.tolist())] == expected
+    assert [seeds.shape[1] for seeds in blocks] == [min(block, len(expected) - s)
+                                                    for s in range(0, len(expected), block)]
 
 
 @st.composite
@@ -477,23 +485,42 @@ def test_each_chain_traced_once(table400, spec):
     assert yielded == len(_brute_force_arms(table400, group, 300))
 
 
+@pytest.mark.parametrize("d", [None, -2, 0, 1, 3, 18])
 @pytest.mark.parametrize("spec", ["div:2", "primes"])
-def test_window_seeds_match_brute_force(table400, spec, monkeypatch):
-    """window_seeds' searchsorted bounds agree with in_window, triple by triple
-    and in lexicographic order, so each chain's first triple is a seed; cut
-    into blocks of SEED_BLOCK seeds, each block full but the last."""
+def test_window_seeds_match_brute_force(table400, spec, d, monkeypatch):
+    """window_seeds' searchsorted bounds agree with in_window and with the
+    second differential D = m1 - 2*m2 + m3 (>= 1, and d when given: none for
+    d <= 0), triple by triple and in lexicographic order, so each chain's
+    first triple is a seed; cut into blocks of SEED_BLOCK seeds, each block
+    full but the last."""
     mem = members(parse_group(spec), 300)
     expected = [(m1, m2, m3) for m1, m2, m3 in itertools.combinations(mem, 3)
-                if m1 <= 75 and m1 - 2 * m2 + m3 > 0
+                if m1 <= 75 and m1 - 2 * m2 + m3 > 0 and d in (None, m1 - 2 * m2 + m3)
                 and oracle.in_window(table400, m1, m2)
                 and oracle.in_window(table400, m2, m3)]
-    assert _seed_list(table400, mem, 300) == expected
+    assert expected or d not in (None, 18)
+    assert _seed_list(table400, mem, 300, d) == expected
     for block in (1, 7, 1000):
         monkeypatch.setattr(arms_mod, "SEED_BLOCK", block)
-        blocks = list(window_seeds(table400, mem, 300))
-        assert [seed for seeds in blocks for seed in zip(*seeds.tolist())] == expected
-        sizes = [seeds.shape[1] for seeds in blocks]
-        assert sizes[:-1] == [block] * (len(sizes) - 1) and 1 <= sizes[-1] <= block
+        _assert_blocks(list(window_seeds(table400, mem, 300, d)), expected, block)
+
+
+@settings(max_examples=200, deadline=None)
+@given(list_groups(), st.sampled_from([1, 7, SEED_BLOCK]), st.data())
+def test_window_seeds_of_one_second_differential_on_random_lists(table400, case, block, data):
+    """The seeds of one second differential D are all the window seeds with
+    each block filtered to m1 - 2*m2 + m3 == D, at any seed block size; D is
+    drawn from -2..20 and from the seeds' own second differentials."""
+    n, group = case
+    mem = members(group, n)
+    full = list(window_seeds(table400, mem, n))
+    own = sorted({int(dd) for seeds in full for dd in seeds[0] - 2 * seeds[1] + seeds[2]})
+    d = data.draw(st.one_of(st.integers(-2, 20), st.sampled_from(own or [1])))
+    expected = [seed for seeds in full
+                for seed in zip(*seeds[:, seeds[0] - 2 * seeds[1] + seeds[2] == d].tolist())]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arms_mod, "SEED_BLOCK", block)
+        _assert_blocks(list(window_seeds(table400, mem, n, d)), expected, block)
 
 
 def test_window_predicate_matches_the_scalar_oracle():

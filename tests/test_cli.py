@@ -124,6 +124,20 @@ def test_render_valid_svg(tmp_path, capsys, monkeypatch):
     assert out_path.read_bytes() == again.read_bytes()
 
 
+@pytest.mark.parametrize("line", ['background = #fff" onload="alert(1)',
+                                  "marker.radius = 3 onclick=x", "arm.width = 0"])
+def test_render_rejects_style_values_it_would_write_unescaped(tmp_path, capsys, monkeypatch,
+                                                             line):
+    """A style value goes into an SVG attribute as it is, so a value that is
+    not a color or a positive decimal is a usage error and no SVG is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.style").write_text(line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "render", "--n", "50", "--style", "bad.style",
+                         "--out", "fig.svg")
+    assert code == EXIT_USAGE and out == "" and "usage error: style" in err
+    assert not (tmp_path / "fig.svg").exists()
+
+
 def test_config_file_and_env_cache(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "spiral.conf").write_text("output = json\nmax_n = 120\n")

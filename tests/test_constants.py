@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sqspiral import constants
+from sqspiral import constants, published
 from sqspiral import table as table_mod
 from sqspiral import verify
-from sqspiral.constants import (C2_PUBLISHED, archimedean_radius, c2_estimate,
+from sqspiral.constants import (archimedean_radius, c2_estimate,
                                 c2_extrapolate, constants_report,
                                 winding_averages, winding_distance_table)
 from sqspiral.table import TAU, SpiralTable
@@ -21,20 +21,20 @@ def test_c2_at_1(table400):
 
 def test_c2_at_1e6_near_limit():
     table = table_for(10**6)
-    assert c2_estimate(10**6, table.w(10**6)) == pytest.approx(C2_PUBLISHED, abs=2e-3)
+    assert c2_estimate(10**6, table.w(10**6)) == pytest.approx(published.C2, abs=2e-3)
 
 
 def test_c2_extrapolation_hits_published_digits():
     table = table_for(10**6)
     c2 = c2_extrapolate({k: table.w(k) for k in [10**3, 10**4, 10**5, 10**6]})
-    assert c2 == pytest.approx(C2_PUBLISHED, abs=1e-8)
+    assert c2 == pytest.approx(published.C2, abs=1e-8)
 
 
 def test_c2_extrapolation_error_shrinks_with_range():
     table = table_for(10**6)
     errors = [abs(c2_extrapolate({k: table.w(k)
                                   for k in [top // 1000, top // 100, top // 10, top]})
-                  - C2_PUBLISHED)
+                  - published.C2)
               for top in (10**4, 10**5, 10**6)]
     assert errors[2] < errors[1] < errors[0]
 
@@ -249,11 +249,11 @@ def test_winding_fold_averaging(table400):
 
 
 def test_archimedean_radius():
-    assert archimedean_radius(0.0, C2_PUBLISHED) == pytest.approx(1.078891498, abs=1e-9)
-    diff = archimedean_radius(2 * math.pi, C2_PUBLISHED) - archimedean_radius(0.0, C2_PUBLISHED)
+    assert archimedean_radius(0.0, published.C2) == pytest.approx(1.078891498, abs=1e-9)
+    diff = archimedean_radius(2 * math.pi, published.C2) - archimedean_radius(0.0, published.C2)
     assert diff == pytest.approx(math.pi, abs=1e-12)
     with pytest.raises(ValueError):
-        archimedean_radius(-0.1, C2_PUBLISHED)
+        archimedean_radius(-0.1, published.C2)
 
 
 def test_constants_report_csv():

@@ -76,6 +76,12 @@ def test_style_parsing():
         parse_style("ray.color = #b0b0b0")  # a key nothing draws with
     with pytest.raises(ValueError, match="key=value"):
         parse_style("just words")
+    assert parse_style("background = #FfF\narm.width = .5\nmarker.radius = 12")["arm.width"] == ".5"
+    for line in ('background = #fff" onload="alert(1)', "boundary.color = red",
+                 "boundary.color = #abcd", "boundary.width = 0.0", "marker.radius = -1",
+                 "arm.width = 1e3", "arm.width = 2px"):
+        with pytest.raises(ValueError, match="is not a valid"):
+            parse_style(line)
 
 
 def test_report_figure_limit_rule():
