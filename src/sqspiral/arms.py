@@ -245,7 +245,7 @@ def window_seeds(table: SpiralTable, mem, max_n: int, second_differential=None):
     first = np.clip(np.searchsorted(mem, base + max(d or 1, 1)), lo[j], hi[j])
     stop = hi[j] if d is None else np.clip(np.searchsorted(mem, base + d, "right"), lo[j], hi[j])
     seeded = stop > first                  # the pairs with a seed
-    del base
+    del base                               # else held while the blocks are walked
     i, j, first, stop = i[seeded], j[seeded], first[seeded], stop[seeded]
     ends = np.cumsum(stop - first)         # seed positions: pair k's are [before, ends)
     before, m1, m2 = ends - (stop - first), mem[i], mem[j]
