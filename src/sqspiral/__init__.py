@@ -12,10 +12,7 @@ from .table import (SpiralTable, RayCoord, CapacityError, build_table,
                     table_for, wrap_signed)
 from .constants import (ConstantsReport, WindingRows, archimedean_radius, c2_estimate,
                         c2_extrapolate, constants_report, winding_averages, winding_distance_table)
-from .ratpoly import (DifferenceTable, NotQuadraticError, QuadraticPoly,
-                      Rational, SpiralAngle, difference_table,
-                      limit_spiral_angle, newton_quadratic, parse_poly,
-                      second_differential)
+from .ratpoly import QuadraticPoly, SpiralAngle, limit_spiral_angle, newton_quadratic
 from .arms import (Arm, Arms, NumberGroup, SystemCluster, SystemReport,
                    classify_systems, enumerate_arms, members,
                    parse_group, trace_arm, verify_rule_5_2)
@@ -23,8 +20,7 @@ from .series import (AnalysisSeries, CrossingsReport, FibAngles,
                      axis_crossings, fib_angle_series,
                      fib_angle_series_streaming, fib_area_ratio_series,
                      fibonacci_numbers, same_arm_angle_series,
-                     square_angle_series, square_band_ratio_series,
-                     triangle_area)
+                     square_angle_series, square_band_ratio_series)
 from .primes import (PolyDensityRow, PrimalityTable, PrimeArm, coprime6_check,
                      prime_arm_report, scan_prime_polys, sieve)
 from .svg import GroupStyle, RenderSpec, parse_style, render_report_figure, render_svg

@@ -262,6 +262,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     try:
         code = _COMMANDS[args.command](args, cfg)
         sys.stdout.flush()

@@ -22,11 +22,17 @@ class Config:
             raise ValueError(f"output must be csv or json, not {self.output!r}")
 
 
+def _flag(value: str) -> bool:
+    if value.lower() not in ("1", "0", "true", "false", "yes", "no"):
+        raise ValueError(f"mirror must be 1/0, true/false or yes/no, not {value!r}")
+    return value.lower() in ("1", "true", "yes")
+
+
 _PARSERS = {
     "cache_path": str,
     "max_n": int,
     "output": str,
-    "mirror": lambda v: v.lower() in ("1", "true", "yes"),
+    "mirror": _flag,
 }
 
 

@@ -1,4 +1,4 @@
-"""Exact rational quadratics: difference tables, Newton fit, shift, canonical form.
+"""Exact rational quadratics: Newton fit, shift, canonical form, text.
 
 Spiral arms are integer sequences generated by a*t^2 + b*t + c with exact
 rational (in practice half-integer) coefficients.  Everything here is pure
@@ -7,56 +7,11 @@ Fraction arithmetic; floats only appear in the asymptotic spiral angle.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .table import TAU, wrap_signed
-
-Rational = Fraction
-
-
-class NotQuadraticError(ValueError):
-    """Sequence is not quadratic-consistent; `index` locates the first bad
-    second difference."""
-
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
-
-
-@dataclass(frozen=True)
-class DifferenceTable:
-    level0: tuple
-    level1: tuple
-    level2: tuple
-    level3: tuple
-
-
-def difference_table(seq) -> DifferenceTable:
-    """Exact forward differences down to the third level."""
-    seq = tuple(seq)
-    if len(seq) < 2:
-        raise ValueError("need at least 2 values to difference")
-    levels = [seq]
-    for _ in range(3):
-        prev = levels[-1]
-        levels.append(tuple(b - a for a, b in zip(prev, prev[1:])))
-    return DifferenceTable(*levels)
-
-
-def second_differential(seq) -> int:
-    """The constant second difference of a quadratic-consistent sequence."""
-    seq = tuple(seq)
-    if len(seq) < 4:
-        raise ValueError("need at least 4 values to confirm a constant second difference")
-    tab = difference_table(seq)
-    for i, d in enumerate(tab.level2):
-        if d != tab.level2[0]:
-            raise NotQuadraticError(
-                f"not quadratic-consistent: second difference changes at index {i}", i)
-    return tab.level2[0]
 
 
 def _rat(x) -> Fraction:
@@ -122,20 +77,6 @@ def poly_str(a: str, b: str, c: str) -> str:
     """str(QuadraticPoly) from the str of its three coefficients."""
     return (f"{a}*x^2 {'- ' + b[1:] if b[0] == '-' else '+ ' + b}*x "
             f"{'- ' + c[1:] if c[0] == '-' else '+ ' + c}")
-
-
-_TERM = r"([+-]?\s*\d+(?:/\d+|\.\d+)?)"
-_POLY_RE = re.compile(
-    rf"^\s*{_TERM}\s*\*?\s*x\^2\s*{_TERM}\s*\*?\s*x\s*{_TERM}\s*$")
-
-
-def parse_poly(text: str) -> QuadraticPoly:
-    """Parse `a*x^2 + b*x + c` (rationals as p/q, integers, or decimals)."""
-    m = _POLY_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse polynomial {text!r}")
-    parts = [Fraction(g.replace(" ", "")) for g in m.groups()]
-    return QuadraticPoly(*parts)
 
 
 def newton_quadratic(f1, f2, f3) -> QuadraticPoly:

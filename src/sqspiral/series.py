@@ -54,13 +54,6 @@ class AnalysisSeries:
         return json.dumps(doc, sort_keys=True) + "\n"
 
 
-def triangle_area(n: int) -> float:
-    """Area of the n-th spiral triangle: sqrt(n)/2."""
-    if n < 1:
-        raise ValueError("triangle indices start at 1")
-    return 0.5 * math.sqrt(n)
-
-
 def sqrt_band_sum(lo: int, hi: int) -> float:
     """Sum of sqrt(n) for 1 <= lo <= n < hi.
 

@@ -87,10 +87,6 @@ class SpiralTable:
             raise IndexError(f"ray {n} outside table range 1..{self.max_n + 1}")
         return float(self.cum_angle[n - 1])
 
-    def winding(self, n: int) -> int:
-        """Winding index, starting at 1 for total angles in [0, 2pi)."""
-        return 1 + int(self.angle_of(n) // TAU)
-
     def nearest_rays(self, angles) -> np.ndarray:
         """Per angle, the ray whose total angle is nearest it (the first of a
         tie), searched among the two rays bracketing it: ray 1 below 0, ray

@@ -156,6 +156,16 @@ def test_config_file_and_env_cache(tmp_path, capsys, monkeypatch):
     assert any(a["members"][0] == 1 for a in json.loads(out)["arms"])
 
 
+@pytest.mark.parametrize("argv", [["--config", "."], []])
+def test_config_path_that_cannot_be_read(tmp_path, capsys, monkeypatch, argv):
+    """A directory given as --config, or found as ./spiral.conf, is an i/o error."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spiral.conf").mkdir()
+    code, out, err = run(capsys, *argv, "build", "--n", "5")
+    assert code == EXIT_IO and out == ""
+    assert err.startswith("i/o error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["arms", "--group", "div:7", "--n", "0"],
     ["arms", "--group", "div:7", "--n", "-3"],

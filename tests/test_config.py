@@ -20,19 +20,28 @@ def test_parse_overrides():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ValueError, match="unknown key"):
-        parse_config("speed = 11\n")
+    # the last two keys were dropped from the config; they are unknown now
+    for text in ("speed = 11\n", "seed_bound_fraction = 0\n", "seed_bound_fraction = 1.5\n",
+                 "prime_density_threshold = 0\n"):
+        with pytest.raises(ValueError, match="unknown key"):
+            parse_config(text)
     with pytest.raises(ValueError, match="key=value"):
         parse_config("gibberish\n")
 
 
 @pytest.mark.parametrize("text", [
-    "max_n = 0", "seed_bound_fraction = 0", "seed_bound_fraction = 1.5",
-    "prime_density_threshold = 0", "output = yaml",
+    "max_n = 0", "max_n = -5", "output = yaml", "mirror = maybe", "mirror = on",
 ])
 def test_invariants(text):
     with pytest.raises(ValueError):
         parse_config(text)
+
+
+@pytest.mark.parametrize("value, mirror", [
+    ("1", True), ("true", True), ("YES", True), ("0", False), ("False", False), ("no", False),
+])
+def test_mirror_values(value, mirror):
+    assert parse_config(f"mirror = {value}").mirror is mirror
 
 
 def test_load_config_env_and_file(tmp_path, monkeypatch):

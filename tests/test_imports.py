@@ -4,8 +4,10 @@ package module imports a name it does not use.
 Checked statically over the package and the scripts: `from <sqspiral module>
 import _x` and `<sqspiral module>._x` both fail.  Dunder names are public.
 The package's `__init__.py` imports to re-export, so it is exempt from the
-unused-import check.  A fresh process running `verify all` imports no
-`numpy.ma` and keeps no shared table past 10^5 entries.
+unused-import check, but each name it re-exports must be read somewhere
+else: in the package outside its own definition, in `scripts/` or in `bench/`.
+A fresh process running `verify all` imports no `numpy.ma` and keeps no
+shared table past 10^5 entries.
 """
 import ast
 import json
@@ -95,6 +97,56 @@ def test_checker_catches_unused_import():
     assert unused_imports("import os.path\nimport numpy as np\n") == ["os", "np"]
     assert unused_imports("from __future__ import annotations\n"
                           "import numpy as np\n\ndef f(a: np.ndarray): pass\n") == []
+
+
+# Re-exported, yet read only by the tests, on purpose:
+KEPT_UNREFERENCED = {
+    "segment_angle",       # the oracle test_table.py checks build_table's increments against
+    "limit_spiral_angle",  # the arm drift law of ROADMAP item 6 builds on it
+}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names, attributes and string constants the module reads, except inside
+    the top-level definition that binds the same name."""
+    names = set()
+    for top in ast.parse(source).body:
+        own = getattr(top, "name", None)
+        if isinstance(top, ast.Assign) and isinstance(top.targets[0], ast.Name):
+            own = top.targets[0].id
+        read = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)  # bench/tracer.py hooks functions by name
+        names |= read - {own}
+    return names
+
+
+def unreferenced_exports(root: pathlib.Path = ROOT) -> list[str]:
+    """Names the package's `__init__.py` re-exports that no package module
+    (outside the name's own definition), script or bench file reads."""
+    package = root / "src" / "sqspiral"
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    paths += list((root / "scripts").glob("*.py")) + list((root / "bench").glob("*.py"))
+    read = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in paths))
+    return sorted(name for name in exported if name not in read)
+
+
+def test_every_export_is_read_outside_the_tests():
+    assert unreferenced_exports() == sorted(KEPT_UNREFERENCED)
+
+
+def test_checker_skips_a_names_own_definition():
+    assert referenced_names("def f(n):\n    return f(n - 1)\n") == {"n"}
+    assert referenced_names("Y = X\nX = 1\nX.y = 2\n") == {"X"}
+    assert "trace_arm" in referenced_names("HOOKS = [(arms, 'trace_arm')]\n")
 
 
 VERIFY_ALL_PROBE = """

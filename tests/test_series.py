@@ -11,16 +11,7 @@ from sqspiral.series import (GOLDEN, AnalysisSeries, axis_crossings, fib_angle_s
                              fib_angle_series_streaming, fib_area_ratio_series,
                              fibonacci_numbers, same_arm_angle_series,
                              sqrt_band_sum, square_angle_series,
-                             square_band_closed_form, square_band_ratio_series,
-                             triangle_area)
-
-
-def test_triangle_area():
-    assert triangle_area(1) == 0.5
-    assert triangle_area(4) == 1.0
-    assert triangle_area(2) == pytest.approx(0.7071068, abs=1e-7)
-    with pytest.raises(ValueError):
-        triangle_area(0)
+                             square_band_closed_form, square_band_ratio_series)
 
 
 def test_band_ratios_match_published():

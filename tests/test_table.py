@@ -42,8 +42,8 @@ def test_angle_of_third_ray(table400):
 
 def test_ray_18_crosses_into_second_winding(table400):
     assert table400.angle_of(17) < TAU < table400.angle_of(18)
-    assert table400.winding(18) == 2
-    assert table400.winding(17) == 1
+    assert table400.ray(18).winding == 2
+    assert table400.ray(17).winding == 1
 
 
 def test_cum_angle_strictly_increasing(table100k):
