@@ -61,8 +61,8 @@ def test_trace_known_arms(table2000):
 
 def test_trace_invariants(table2000):
     arm = _trace(table2000, "div:7", (14, 49, 105), 600)
-    m = arm.members
-    assert {u - 2 * v + w for u, v, w in zip(m, m[1:], m[2:])} == {2 * arm.poly.a} == {21}
+    mem = arm.members
+    assert {u - 2 * v + w for u, v, w in zip(mem, mem[1:], mem[2:])} == {2 * arm.poly.a} == {21}
     for i, m in enumerate(arm.members):
         assert arm.poly(arm.start_t + i) == m
     assert len(arm.drifts) == len(arm.members) - 1

@@ -20,7 +20,6 @@ def test_parse_overrides():
 
 
 def test_unknown_key_rejected():
-    # the last two keys were dropped from the config; they are unknown now
     for text in ("speed = 11\n", "seed_bound_fraction = 0\n", "seed_bound_fraction = 1.5\n",
                  "prime_density_threshold = 0\n"):
         with pytest.raises(ValueError, match="unknown key"):
