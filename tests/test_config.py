@@ -28,11 +28,21 @@ def test_unknown_key_rejected():
         parse_config("gibberish\n")
 
 
-@pytest.mark.parametrize("text", [
-    "max_n = 0", "max_n = -5", "output = yaml", "mirror = maybe", "mirror = on",
+@pytest.mark.parametrize("text, message", [
+    pytest.param(text, message, id=text) for text, message in [
+        ("max_n = 0", "max_n must be positive"),
+        ("max_n = -5", "max_n must be positive"),
+        ("output = yaml", "output must be csv or json"),
+        ("mirror = maybe", "mirror must be 1/0"),
+        ("mirror = on", "mirror must be 1/0"),
+        # Keys that no longer exist: each must fail as unknown, not on a bound.
+        ("seed_bound_fraction = 0", "unknown key"),
+        ("seed_bound_fraction = 1.5", "unknown key"),
+        ("prime_density_threshold = 0", "unknown key"),
+    ]
 ])
-def test_invariants(text):
-    with pytest.raises(ValueError):
+def test_invariants(text, message):
+    with pytest.raises(ValueError, match=message):
         parse_config(text)
 
 
