@@ -6,7 +6,8 @@ moved to integer arithmetic, the two Fibonacci band digests before the band
 sums moved to the asymptotic expansion, the two `arms` digests before the
 arm walk was batched, the 200000-probe winding-distance digest before the
 CSV was written in blocks, the five `arms` digests below div:7's before the
-arm writers formatted from integer columns); refactors must leave these outputs
+arm writers formatted from integer columns, the two `RENDER_SVG` digests
+before `render_svg` placed each drawn ray once); refactors must leave these outputs
 byte-identical.  The one exception is the winding-distance digest, retaken
 when rows whose one-turn ray lies past the table end were dropped.  The `verify all` report digest lives in test_acceptance.py,
 next to the fixture that already runs every suite.
@@ -81,6 +82,16 @@ CLI_STDOUT = {
 
 RENDER_SQUARES_300 = "f0cc2db36f4bf352072957cda81391cc96057547aee7f74bec2ea81d8a4c9227"
 
+# argv -> digest of the SVG it writes to fig.svg; all.style sets every style key
+RENDER_SVG = {
+    "render --n 400 --group div:7 --group squares --arms --mirror --style all.style":
+        "473eac40a8435529360ecc84b1fa4fc731b23b11f910dfdaba12d28459e47699",
+    "render --n 1":  # a boundary of one ray, no markers or overlays
+        "cd52c8cdf66a72b8edbcf748e0de42cf7d96f8878edd8a884fc937b362b86602",
+}
+ALL_STYLE = ("background = #f8f8f0\nboundary.color = #123\nboundary.width = 0.75\n"
+             "marker.radius = 2.5\narm.width = 2\n")
+
 
 def _sha(data) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
@@ -119,3 +130,10 @@ def test_render_svg_digest(fresh_cwd):
     argv = ["render", "--n", "300", "--group", "squares", "--arms", "--out", "fig.svg"]
     assert main(argv) == EXIT_OK
     assert _sha((fresh_cwd / "fig.svg").read_bytes()) == RENDER_SQUARES_300
+
+
+@pytest.mark.parametrize("argv", list(RENDER_SVG))
+def test_render_svg_digests(argv, fresh_cwd):
+    (fresh_cwd / "all.style").write_text(ALL_STYLE)
+    assert main([*argv.split(), "--out", "fig.svg"]) == EXIT_OK
+    assert _sha((fresh_cwd / "fig.svg").read_bytes()) == RENDER_SVG[argv]
