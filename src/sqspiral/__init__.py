@@ -7,9 +7,8 @@ constants, tables, and figures.
 
 __version__ = "0.1.0"
 
-from .table import (SpiralTable, RayCoord, CapacityError, build_table,
-                    load_table, save_table, segment_angle, stream_cum_angles,
-                    table_for, wrap_signed)
+from .table import (SpiralTable, CapacityError, build_table, load_table, save_table,
+                    segment_angle, stream_cum_angles, table_for, wrap_signed)
 from .constants import (ConstantsReport, WindingRows, archimedean_radius, c2_estimate,
                         c2_extrapolate, constants_report, winding_averages, winding_distance_table)
 from .ratpoly import QuadraticPoly, SpiralAngle, limit_spiral_angle, newton_quadratic

@@ -20,7 +20,8 @@ from .constants import c2_estimate, constants_report
 from .series import (axis_crossings, fib_angle_series, fib_area_ratio_series,
                      fibonacci_numbers, same_arm_angle_series,
                      square_angle_series, square_band_ratio_series)
-from .svg import GroupStyle, RenderSpec, parse_style, render_report_figure, render_svg
+from .svg import (DEFAULT_STYLE, GroupStyle, RenderSpec, parse_style, render_report_figure,
+                  render_svg)
 from .table import build_table, load_table, save_table
 
 EXIT_OK = 0
@@ -224,7 +225,7 @@ def cmd_primes(args, cfg: Config) -> int:
 def cmd_render(args, cfg: Config) -> int:
     max_n = args.n or cfg.max_n
     table = _table_for(cfg, max_n)
-    style = dict()
+    style = DEFAULT_STYLE
     if args.style:
         with open(args.style, encoding="utf-8") as fh:
             style = parse_style(fh.read())
@@ -235,11 +236,8 @@ def cmd_render(args, cfg: Config) -> int:
         for gs in groups:
             arms = arms_mod.enumerate_arms(table, gs.group, max_n)
             overlays.extend(arms.member_tuples(range(len(arms))))
-    spec_kwargs = dict(max_n=max_n, groups=groups, arm_overlays=tuple(overlays),
-                       mirror=args.mirror or cfg.mirror)
-    if style:
-        spec_kwargs["style"] = style
-    doc = render_svg(table, RenderSpec(**spec_kwargs))
+    doc = render_svg(table, RenderSpec(max_n=max_n, groups=groups, arm_overlays=tuple(overlays),
+                                       mirror=args.mirror or cfg.mirror, style=style))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(doc)
     _emit(f"wrote {args.out}\n")

@@ -10,7 +10,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .table import SpiralTable
+from .table import TAU, SpiralTable
 from .config import parse_key_values
 from . import arms as _arms
 from .series import AnalysisSeries
@@ -61,48 +61,43 @@ def _fmt(x: float) -> str:
     return "0.000000" if out == "-0.000000" else out
 
 
-def _point(table: SpiralTable, n: int, spec: RenderSpec) -> tuple:
-    ray = table.ray(n)
-    y = ray.y if spec.mirror else -ray.y
-    return ray.x * SCALE, y * SCALE
-
-
 def render_svg(table: SpiralTable, spec: RenderSpec) -> str:
-    """Spiral boundary polyline, group markers, and arm overlay polylines."""
+    """Spiral boundary polyline, group markers, and arm overlay polylines; each
+    drawn ray is placed once, on the boundary, and its markers and overlays reuse it."""
     if spec.max_n > table.max_n:
         raise IndexError(f"render range {spec.max_n} exceeds table bound {table.max_n}")
-    style = spec.style
+    if (low := min((n for arm in spec.arm_overlays for n in arm), default=1)) < 1:
+        raise IndexError(f"ray {low} outside render range 1..{spec.max_n}")
+    points = []  # "x,y" of rays 1..max_n, one angle read as a float at a time
+    for n, total in enumerate(map(float, table.cum_angle[:spec.max_n]), 1):
+        mod = total % TAU
+        r = math.sqrt(n)
+        x, y = r * math.cos(mod), r * math.sin(mod)
+        points.append(f"{_fmt(x * SCALE)},{_fmt((y if spec.mirror else -y) * SCALE)}")
+    style, marks = spec.style, []
+    for gs in spec.groups:
+        for n in _arms.members(gs.group, spec.max_n):
+            x, y = points[n - 1].split(",")
+            marks.append(
+                f'<circle cx="{x}" cy="{y}" r="{style["marker.radius"]}" fill="{gs.color}"/>')
+    for idx, arm in enumerate(spec.arm_overlays):
+        pts = " ".join(points[n - 1] for n in arm if n <= spec.max_n)
+        marks.append(
+            f'<polyline points="{pts}" fill="none" stroke="{ARM_COLORS[idx % len(ARM_COLORS)]}" '
+            f'stroke-width="{style["arm.width"]}"/>')
+    boundary = " ".join(points)
+    del points  # not held while the boundary is copied into the document
     extent = SCALE * math.sqrt(spec.max_n) + 4 * SCALE
     view = f"{_fmt(-extent)} {_fmt(-extent)} {_fmt(2 * extent)} {_fmt(2 * extent)}"
-    parts = [
+    return "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
         f'height="{SIZE}" viewBox="{view}">',
         f'<rect x="{_fmt(-extent)}" y="{_fmt(-extent)}" width="{_fmt(2 * extent)}" '
         f'height="{_fmt(2 * extent)}" fill="{style["background"]}"/>',
-    ]
-    boundary = " ".join(
-        f"{_fmt(x)},{_fmt(y)}"
-        for x, y in (_point(table, n, spec) for n in range(1, spec.max_n + 1)))
-    parts.append(
         f'<polyline points="{boundary}" fill="none" '
-        f'stroke="{style["boundary.color"]}" stroke-width="{style["boundary.width"]}"/>')
-    for gs in spec.groups:
-        for n in _arms.members(gs.group, spec.max_n):
-            x, y = _point(table, n, spec)
-            parts.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{style["marker.radius"]}" '
-                f'fill="{gs.color}"/>')
-    for idx, arm in enumerate(spec.arm_overlays):
-        color = ARM_COLORS[idx % len(ARM_COLORS)]
-        pts = " ".join(
-            f"{_fmt(x)},{_fmt(y)}"
-            for x, y in (_point(table, n, spec) for n in arm if n <= spec.max_n))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{style["arm.width"]}"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        f'stroke="{style["boundary.color"]}" stroke-width="{style["boundary.width"]}"/>',
+        *marks, "</svg>"]) + "\n"
 
 
 def render_report_figure(series: AnalysisSeries) -> str:

@@ -58,19 +58,6 @@ def wrap_signed(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class RayCoord:
-    """Position of the ray of length sqrt(n)."""
-
-    n: int
-    radius: float
-    angle_total: float
-    angle_mod: float
-    winding: int
-    x: float
-    y: float
-
-
-@dataclass(frozen=True)
 class SpiralTable:
     """Immutable table of cumulative angles w(0..max_n)."""
 
@@ -94,20 +81,6 @@ class SpiralTable:
         cum = self.cum_angle
         j = np.clip(np.searchsorted(cum, angles), 1, self.max_n)
         return np.where(np.abs(cum[j - 1] - angles) <= np.abs(cum[j] - angles), j, j + 1)
-
-    def ray(self, n: int) -> RayCoord:
-        total = self.angle_of(n)
-        mod = total % TAU
-        r = math.sqrt(n)
-        return RayCoord(
-            n=n,
-            radius=r,
-            angle_total=total,
-            angle_mod=mod,
-            winding=1 + int(total // TAU),
-            x=r * math.cos(mod),
-            y=r * math.sin(mod),
-        )
 
 
 def _blocks(top: int, ks=None):

@@ -79,7 +79,7 @@ def _one_turn_rows(table, probes):
         assert j > n                             # triangle n spans less than a turn
         m = j if abs(cum[j - 1] - target) <= abs(cum[j] - target) else j + 1
         for field, value in (("n", n), ("m", m), ("distance", math.sqrt(m) - math.sqrt(n)),
-                             ("winding", table.ray(m).winding),
+                             ("winding", 1 + int(table.angle_of(m) // TAU)),
                              ("gap", (table.angle_of(m) - table.angle_of(n)) - TAU)):
             cols[field].append(value)
     return {field: np.array(cols[field], dtype=dtype) for field, dtype in FIELDS.items()}

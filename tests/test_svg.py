@@ -1,9 +1,10 @@
+import math
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from sqspiral.arms import parse_group
+from sqspiral.arms import enumerate_arms, members, parse_group
 from sqspiral.series import AnalysisSeries, square_band_ratio_series
 from sqspiral.svg import (DEFAULT_STYLE, GroupStyle, RenderSpec, parse_style,
                           render_report_figure, render_svg)
@@ -58,12 +59,33 @@ def test_render_range_and_scale_errors(table400):
 
 
 def test_arm_overlay(table2000):
-    from sqspiral.arms import enumerate_arms
     group = parse_group("div:11")
     arms = enumerate_arms(table2000, group, 600)
     spec = RenderSpec(max_n=600, arm_overlays=tuple(arms.member_tuples([0, 1])))
     doc = render_svg(table2000, spec)
     assert doc.count("<polyline") == 3  # boundary + two arms
+
+
+def test_each_drawn_ray_is_placed_once(table400, monkeypatch):
+    """Markers and overlays reuse the boundary's placement of their rays: at
+    most one cosine per ray of the boundary plus one per other ray drawn."""
+    group = parse_group("squares")
+    arms = enumerate_arms(table400, group, 300)
+    spec = RenderSpec(max_n=300, groups=(GroupStyle(group),),
+                      arm_overlays=tuple(arms.member_tuples(range(len(arms)))))
+    drawn = {*members(group, 300), *(n for arm in spec.arm_overlays for n in arm if n <= 300)}
+    assert len(spec.arm_overlays) > 0 and len(drawn) == 17
+    calls, cos = [], math.cos
+    monkeypatch.setattr(math, "cos", lambda x: calls.append(x) or cos(x))
+    render_svg(table400, spec)
+    assert len(calls) <= spec.max_n + len(drawn)
+
+
+@pytest.mark.parametrize("member", [0, -3])
+def test_overlay_member_below_one_raises(table400, member):
+    """A ray below 1 is no ray: it must not wrap round to the end of the spiral."""
+    with pytest.raises(IndexError):
+        render_svg(table400, RenderSpec(max_n=10, arm_overlays=((4, member, 9),)))
 
 
 def test_style_parsing():

@@ -1,4 +1,5 @@
 import math
+import re
 import weakref
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sqspiral import table as table_mod
+from sqspiral.svg import RenderSpec, render_svg
 from sqspiral.table import (CHUNK, DEFAULT_CAPACITY, SLAB_MIN, TAIL_START, CapacityError,
                             _blocks, build_table, exact_cum_angles, load_table, save_table,
                             SpiralTable, segment_angle, stream_cum_angles, table_for,
@@ -42,8 +44,7 @@ def test_angle_of_third_ray(table400):
 
 def test_ray_18_crosses_into_second_winding(table400):
     assert table400.angle_of(17) < TAU < table400.angle_of(18)
-    assert table400.ray(18).winding == 2
-    assert table400.ray(17).winding == 1
+    assert [1 + int(table400.angle_of(n) // TAU) for n in (17, 18)] == [1, 2]
 
 
 def test_cum_angle_strictly_increasing(table100k):
@@ -211,17 +212,16 @@ def test_build_rejects_bad_size_and_capacity():
 
 
 def test_ray_coordinates(table400):
-    ray1 = table400.ray(1)
-    assert (ray1.x, ray1.y) == (1.0, 0.0)
-    ray2 = table400.ray(2)
-    assert ray2.x == pytest.approx(1.0, abs=1e-12)
-    assert ray2.y == pytest.approx(1.0, abs=1e-12)
-    for n in (2, 17, 18, 100, 399):
-        ray = table400.ray(n)
-        assert ray.radius ** 2 == pytest.approx(n, rel=1e-12)
-        assert 0 <= ray.angle_mod < TAU
-        assert ray.x ** 2 + ray.y ** 2 == pytest.approx(n, rel=1e-9)
-        assert ray.winding == 1 + int(ray.angle_total // TAU)
+    """Rays as the boundary polyline draws them: 6 decimals of SCALE = 20 units
+    per unit radius, y flipped on screen, so each coordinate is within 2.5e-8."""
+    doc = render_svg(table400, RenderSpec(max_n=399))
+    points = re.search(r'<polyline points="([^"]+)"', doc).group(1).split(" ")
+    assert points[:2] == ["20.000000,0.000000", "20.000000,-20.000000"]  # (1, 0), (1, 1)
+    for n in (1, 2, 17, 18, 100, 399):
+        x, y = (float(v) / 20.0 for v in points[n - 1].split(","))
+        y = -y
+        assert abs(x * x + y * y - n) <= 4 * math.sqrt(n) * 2.5e-8
+        assert abs(wrap_signed(math.atan2(y, x) - table400.angle_of(n))) <= 1e-7
 
 
 def test_angle_of_range_check(table400):
