@@ -36,10 +36,9 @@ _PARSERS = {
 }
 
 
-def parse_key_values(text: str, known, label: str) -> dict[str, str]:
-    """key=value lines, skipping blank and '#' lines; a line without '=' or
-    with a key not in `known` is a ValueError naming `label` and the line."""
-    values = {}
+def parse_key_values(text: str, known, label: str):
+    """(line number, key, value) per key=value line, skipping blank and '#' lines;
+    a line without '=' or with a key not in `known` is a ValueError naming `label` and the line."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):  # values may contain '#' (colors)
@@ -49,14 +48,18 @@ def parse_key_values(text: str, known, label: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ValueError(f"{label} line {lineno}: unknown key {key!r}")
-        values[key] = value
-    return values
+        yield lineno, key, value
 
 
-def parse_config(text: str, base: Config | None = None) -> Config:
-    """Parse key=value lines; unknown keys are rejected."""
-    values = parse_key_values(text, _PARSERS, CONF_NAME)
-    return replace(base or Config(), **{k: _PARSERS[k](v) for k, v in values.items()})
+def parse_config(text: str, base: Config | None = None, name: str = CONF_NAME) -> Config:
+    """Parse key=value lines; an unknown key or a bad value names the file `name` and the line."""
+    cfg = base or Config()
+    for lineno, key, value in parse_key_values(text, _PARSERS, name):
+        try:
+            cfg = replace(cfg, **{key: _PARSERS[key](value)})
+        except ValueError as exc:
+            raise ValueError(f"{name} line {lineno}: {key}: {exc}") from None
+    return cfg
 
 
 def load_config(path: str | None = None, env=None) -> Config:
@@ -66,7 +69,7 @@ def load_config(path: str | None = None, env=None) -> Config:
     conf = path or CONF_NAME
     if os.path.exists(conf):
         with open(conf, encoding="utf-8") as fh:
-            cfg = parse_config(fh.read(), cfg)
+            cfg = parse_config(fh.read(), cfg, conf)
     if env.get(ENV_CACHE):
         cfg = replace(cfg, cache_path=env[ENV_CACHE])
     return cfg

@@ -32,7 +32,7 @@ WIDTH, HEIGHT = 640, 400   # report figure, pixels
 def parse_style(text: str) -> dict:
     """Parse a key=value style file; unknown keys are rejected, and so are colors
     not #rgb or #rrggbb and widths and radii that are not positive decimals."""
-    style = {**DEFAULT_STYLE, **parse_key_values(text, DEFAULT_STYLE, "style")}
+    style = DEFAULT_STYLE | {k: v for _, k, v in parse_key_values(text, DEFAULT_STYLE, "style")}
     for key, value in style.items():
         color = key in ("background", "boundary.color")
         if not (re.fullmatch(r"#([0-9a-fA-F]{3}){1,2}", value) if color else

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from sqspiral.cli import EXIT_USAGE, main
 from sqspiral.config import _PARSERS, Config, load_config, parse_config
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -44,6 +45,26 @@ def test_unknown_key_rejected():
 def test_invariants(text, message):
     with pytest.raises(ValueError, match=message):
         parse_config(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("max_n = abc", "spiral.conf line 1: max_n: invalid literal for int()"),
+    ("# sizes\n\nmax_n = 0", "spiral.conf line 3: max_n: max_n must be positive"),
+    ("max_n = 20\noutput = xml", "spiral.conf line 2: output: output must be csv or json"),
+    ("output = json\nmirror = maybe\n", "spiral.conf line 2: mirror: mirror must be 1/0"),
+], ids=["max_n = abc", "max_n = 0", "output = xml", "mirror = maybe"])
+def test_bad_value_names_file_line_and_key(tmp_path, monkeypatch, capsys, text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config(text)
+    conf = tmp_path / "other.conf"
+    conf.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message.replace("spiral.conf", str(conf)))):
+        load_config(str(conf), env={})
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spiral.conf").write_text(text)
+    assert main(["build", "--n", "5"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value, mirror", [
