@@ -4,14 +4,16 @@
 Each command runs once.  Its row gives the exit code, the wall time, the
 peak resident memory (the child's own `ru_maxrss`, as `os.wait4` returns it:
 what RUSAGE_CHILDREN reads for a lone child), and the byte count and sha256
-of its stdout.  The commands run from an empty temporary directory with
+of its stdout and, for a command that writes a file (its `--out` or
+`--figure` argument), of that file.  The commands run from an empty temporary directory with
 SQSPIRAL_CACHE unset, so each builds its own table, and import the package
 of this checkout (its src/).  The default ladder is
 
     areas --winding-distances 200000 / 2000000 / 6000000, verify all,
     arms --group div:2 --n 1200 --format json / csv,
     primes --scan-d 18 --t 2000 --c-max 20000, areas --crossings 1000,
-    primes --report --n 200000 / 1000000
+    primes --report --n 200000 / 1000000,
+    render --n 600 --group div:2 --arms, render --n 1000000 --group squares
 
 Run it as, for example,
 
@@ -36,7 +38,9 @@ LADDER = ("areas --winding-distances 200000", "areas --winding-distances 2000000
           "areas --winding-distances 6000000", "verify all",
           "arms --group div:2 --n 1200 --format json", "arms --group div:2 --n 1200 --format csv",
           "primes --scan-d 18 --t 2000 --c-max 20000", "areas --crossings 1000",
-          "primes --report --n 200000", "primes --report --n 1000000")
+          "primes --report --n 200000", "primes --report --n 1000000",
+          "render --n 600 --group div:2 --arms --out fig.svg",
+          "render --n 1000000 --group squares --out fig.svg")
 
 
 def run_once(argv, cwd, env):
@@ -55,6 +59,17 @@ def run_once(argv, cwd, env):
     return proc.returncode, wall, usage.ru_maxrss / 1024, size, digest.hexdigest()
 
 
+def file_digest(argv, cwd):
+    """(bytes, sha256) of the file a command writes (its --out or --figure), or None."""
+    for flag in ("--out", "--figure"):
+        if flag in argv[:-1]:
+            path = pathlib.Path(cwd, argv[argv.index(flag) + 1])
+            if path.exists():
+                data = path.read_bytes()
+                return len(data), hashlib.sha256(data).hexdigest()
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("commands", nargs="*", metavar="COMMAND",
@@ -64,10 +79,14 @@ def main(argv=None) -> int:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     with tempfile.TemporaryDirectory() as cwd:
         for command in args.commands or LADDER:
-            code, wall, peak, size, sha = run_once(command.split(), cwd, env)
-            print(json.dumps({"command": command, "exit": code, "wall_s": round(wall, 3),
-                              "peak_rss_mib": round(peak, 1), "stdout_bytes": size,
-                              "stdout_sha256": sha}), flush=True)
+            argv = command.split()
+            code, wall, peak, size, sha = run_once(argv, cwd, env)
+            row = {"command": command, "exit": code, "wall_s": round(wall, 3),
+                   "peak_rss_mib": round(peak, 1), "stdout_bytes": size, "stdout_sha256": sha}
+            written = file_digest(argv, cwd)
+            if written:
+                row["file_bytes"], row["file_sha256"] = written
+            print(json.dumps(row), flush=True)
     return 0
 
 
