@@ -5,9 +5,9 @@ Each command runs once.  Its row gives the exit code, the wall time, the
 peak resident memory (the child's own `ru_maxrss`, as `os.wait4` returns it:
 what RUSAGE_CHILDREN reads for a lone child), and the byte count and sha256
 of its stdout and, for a command that writes a file (its `--out` or
-`--figure` argument), of that file.  The commands run from an empty temporary directory with
-SQSPIRAL_CACHE unset, so each builds its own table, and import the package
-of this checkout (its src/).  The default ladder is
+`--figure` argument), of that file.  The commands run from an empty
+temporary directory with SQSPIRAL_CACHE unset, so each builds its own table,
+and import the package of this checkout (its src/).  The default ladder is
 
     areas --winding-distances 200000 / 2000000 / 6000000, verify all,
     arms --group div:2 --n 1200 --format json / csv,
