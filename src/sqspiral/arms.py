@@ -104,8 +104,6 @@ class Arm:
     direction: str                # "P", "N", or "indeterminate"
 
     def __post_init__(self):
-        if any(q.denominator > 2 for q in (self.poly.a, self.poly.b, self.poly.c)):
-            raise ValueError(f"{self.poly} has a coefficient that is not a half-integer")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction {self.direction!r} is not one of {DIRECTIONS}")
         object.__setattr__(self, "members", tuple(self.members))
@@ -113,7 +111,7 @@ class Arm:
 
     @property
     def second_differential(self) -> int:
-        return int(2 * self.poly.a)
+        return self.poly.a2
 
     @property
     def b_hat(self) -> Fraction:
@@ -145,7 +143,7 @@ class Arms(Sequence):
         i = range(len(self))[i]
         if i not in self._arms:
             dd, b2, c2, start_t, code, lo, hi, d_lo, d_hi = self.cols[:, i].tolist()
-            self._arms[i] = Arm(self.mem[lo:hi].tolist(), QuadraticPoly.halves(dd, b2, c2),
+            self._arms[i] = Arm(self.mem[lo:hi].tolist(), QuadraticPoly(dd, b2, c2),
                                 start_t, self.drift[d_lo:d_hi].tolist(), DIRECTIONS[code])
         return self._arms[i]
 
@@ -163,7 +161,7 @@ def pack_arms(arms) -> Arms:
     if isinstance(arms, Arms):
         return arms
     arms = list(arms)
-    heads = [(*arm.poly.doubled(), arm.start_t, DIRECTIONS.index(arm.direction))
+    heads = [(*arm.poly, arm.start_t, DIRECTIONS.index(arm.direction))
              for arm in arms]
     members, drifts = [arm.members for arm in arms], [arm.drifts for arm in arms]
     m, d = (np.cumsum([0] + [len(x) for x in lists]) for lists in (members, drifts))
@@ -308,8 +306,8 @@ def _firsts(key: np.ndarray) -> np.ndarray:
 def canonical_keys(m1, m2, m3):
     """The canonical (D, 2b, 2c), D = 2a, of the quadratics through (1, m1),
     (2, m2), (3, m3) for int64 arrays m1, m2, m3 of D > 0, as a (3, n) array,
-    and each one's canonicalizing shift s, all in integers: the doubled
-    coefficients of `newton_quadratic(m1, m2, m3).canonicalize()`."""
+    and each one's canonicalizing shift s, as `newton_quadratic(m1, m2,
+    m3).canonicalize()` gives them for one seed."""
     d1, dd = m2 - m1, m1 - 2 * m2 + m3
     prv = m1 - d1 + dd                     # the polynomial's value at t = 0
     b2 = 2 * d1 - 3 * dd                   # newton_quadratic's 2b

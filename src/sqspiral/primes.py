@@ -46,24 +46,20 @@ def sieve(max_n: int) -> PrimalityTable:
     return PrimalityTable(max_n=max_n, bitmap=bm)
 
 
-def coprime6_check(poly: QuadraticPoly) -> bool:
-    """True iff no value of the polynomial is divisible by 2 or 3.
+def _coprime6(dd, b2, c2):
+    """True where the integer-valued quadratic of doubled key (dd, b2, c2), ints
+    or arrays that broadcast, has no value divisible by 2 or 3: its values mod 6,
+    halves of the doubled values mod 12 (so any int fits), repeat with period 12."""
+    t = np.arange(1, 13)[:, None]
+    values = (dd % 12 * t * t + b2 % 12 * t + c2 % 12) // 2
+    return ((values % 2 != 0) & (values % 3 != 0)).all(axis=0)
 
-    Exact residue analysis: values of an integer-valued quadratic with
-    half-integer coefficients repeat mod 2 with period 4 and mod 3 with
-    period 12, so t = 1..12 covers every residue class.
-    """
+
+def coprime6_check(poly: QuadraticPoly) -> bool:
+    """True iff no value of the polynomial is divisible by 2 or 3."""
     if not poly.is_integer_valued():
         raise ValueError("coprime6_check needs an integer-valued polynomial")
-    a2, b2, c2 = (2 * q.numerator // q.denominator for q in (poly.a, poly.b, poly.c))
-    values = ((a2 * t * t + b2 * t + c2) // 2 for t in range(1, 13))
-    return all(v % 2 and v % 3 for v in values)
-
-
-def _coprime6(values: np.ndarray) -> np.ndarray:
-    """Per column of `values`, an integer-valued quadratic's values at
-    t = 1..12 down the rows: True iff none is divisible by 2 or 3."""
-    return ((values % 2 != 0) & (values % 3 != 0)).all(axis=0)
+    return bool(_coprime6(*poly)[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,7 +71,7 @@ class PolyDensityRow:
 
     @property
     def poly(self) -> QuadraticPoly:
-        return QuadraticPoly.halves(*self.key)
+        return QuadraticPoly(*self.key)
 
     @property
     def density(self) -> float:
@@ -110,7 +106,7 @@ def scan_prime_polys(second_differential: int, c_range, sample_count: int = 100
             c = cs[i:i + step]
             c = c[c >= 1 - base[0, 0]]
             cols.append((np.full(c.size, b2), 2 * c,
-                         np.count_nonzero(bitmap[base + c], axis=0), _coprime6(base[:12] + c)))
+                         np.count_nonzero(bitmap[base + c], axis=0), _coprime6(d, b2, 2 * c)))
     b2, c2, count, ok = map(np.concatenate, zip(*cols))
     order = np.lexsort((c2, b2, -count))
     return [PolyDensityRow((d, b, c), sample_count, n, y) for b, c, n, y in
@@ -133,7 +129,7 @@ class PrimeArm:
 
     @property
     def poly(self) -> QuadraticPoly:
-        return QuadraticPoly.halves(*self.key)
+        return QuadraticPoly(*self.key)
 
     @property
     def second_differential(self) -> int:
@@ -152,8 +148,7 @@ def prime_arm_report(table: SpiralTable, max_n: int) -> list[PrimeArm]:
     arms = traced_arms(table, np.flatnonzero(bitmap), max_n, PRIME_DENSITY,
                        second_differential=18, longest=True)
     dd, b2, c2, size, count = arm_columns(arms, bitmap)
-    density, t = count / size, np.arange(1, 13)[:, None]
-    ok = _coprime6((dd * t * t + b2 * t + c2) // 2)
+    density, ok = count / size, _coprime6(dd, b2, c2)
     order = np.lexsort((c2, b2, dd, -density)).tolist()
     return [PrimeArm(m, (d, b, c), n, x, y) for m, d, b, c, n, x, y in
             zip(arms.member_tuples(order),

@@ -1,12 +1,14 @@
-"""Exact rational quadratics: Newton fit, shift, canonical form, text.
+"""Half-integer quadratics: Newton fit, shift, canonical form, text.
 
-Spiral arms are integer sequences generated by a*t^2 + b*t + c with exact
-rational (in practice half-integer) coefficients.  Everything here is pure
-Fraction arithmetic; floats only appear in the asymptotic spiral angle.
+Spiral arms are integer sequences generated by a*t^2 + b*t + c; a quadratic
+through three integers at consecutive t has half-integer coefficients, so it is
+held as the doubled integer key (2a, 2b, 2c) and every operation here is integer
+arithmetic.  Floats only appear in the asymptotic spiral angle.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -14,58 +16,47 @@ from typing import NamedTuple
 from .table import TAU, wrap_signed
 
 
-def _rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class QuadraticPoly:
-    """a*x^2 + b*x + c with exact rational coefficients."""
+    """a*x^2 + b*x + c held as its doubled coefficients, the ints a2 = 2a,
+    b2 = 2b and c2 = 2c; tuple(poly) is the key (a2, b2, c2)."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
+    a2: int
+    b2: int
+    c2: int
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _rat(self.a))
-        object.__setattr__(self, "b", _rat(self.b))
-        object.__setattr__(self, "c", _rat(self.c))
+        for name in ("a2", "b2", "c2"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+
+    def __iter__(self):
+        return iter((self.a2, self.b2, self.c2))
+
+    a = property(lambda self: Fraction(self.a2, 2))
+    b = property(lambda self: Fraction(self.b2, 2))
+    c = property(lambda self: Fraction(self.c2, 2))
 
     def __call__(self, t) -> Fraction:
-        t = _rat(t)
-        return self.a * t * t + self.b * t + self.c
+        return Fraction(self.a2 * t * t + self.b2 * t + self.c2, 2)
 
     def is_integer_valued(self) -> bool:
-        """True iff every value at integer t is an integer (2a, a+b, c integers)."""
-        return ((2 * self.a).denominator == 1
-                and (self.a + self.b).denominator == 1
-                and self.c.denominator == 1)
+        """True iff every value at integer t is an integer: a2 + b2 and c2 are even."""
+        return (self.a2 + self.b2) % 2 == 0 and self.c2 % 2 == 0
 
     def shift(self, s: int) -> "QuadraticPoly":
         """Polynomial q with q(t) = p(t+s)."""
-        return QuadraticPoly(self.a, self.b + 2 * self.a * s,
-                             self.c + self.a * s * s + self.b * s)
+        a2, b2 = self.a2, self.b2
+        return QuadraticPoly(a2, b2 + 2 * a2 * s, self.c2 + a2 * s * s + b2 * s)
 
     def canonicalize(self) -> tuple["QuadraticPoly", int]:
         """Shift-equivalent form with b in [0, 2a); unique per value sequence."""
-        if self.a <= 0:
+        if self.a2 <= 0:
             raise ValueError("canonical form needs a > 0 (not an arm polynomial)")
-        s = -(self.b // (2 * self.a))
-        s = int(s)
+        s = -(self.b2 // (2 * self.a2))
         return self.shift(s), s
 
-    @classmethod
-    def halves(cls, a2: int, b2: int, c2: int) -> "QuadraticPoly":
-        """The polynomial with doubled coefficients (a2, b2, c2)."""
-        return cls(Fraction(a2, 2), Fraction(b2, 2), Fraction(c2, 2))
-
-    def doubled(self):
-        """(2a, 2b, 2c) as ints, the inverse of `halves`; None if one is not an int."""
-        key = (2 * self.a, 2 * self.b, 2 * self.c)
-        return None if any(q.denominator != 1 for q in key) else tuple(map(int, key))
-
     def __str__(self) -> str:
-        return poly_str(str(self.a), str(self.b), str(self.c))
+        return poly_str(*half_strs(self))
 
 
 def half_strs(doubled) -> list:
@@ -79,16 +70,14 @@ def poly_str(a: str, b: str, c: str) -> str:
             f"{'- ' + c[1:] if c[0] == '-' else '+ ' + c}")
 
 
-def newton_quadratic(f1, f2, f3) -> QuadraticPoly:
+def newton_quadratic(f1: int, f2: int, f3: int) -> QuadraticPoly:
     """Unique quadratic through (1,f1), (2,f2), (3,f3), by divided differences.
 
-    N(t) = f1 + (t-1)*(f2-f1) + (t-1)(t-2)*(f1 - 2 f2 + f3)/2.
+    N(t) = f1 + (t-1)*(f2-f1) + (t-1)(t-2)*(f1 - 2 f2 + f3)/2, doubled.
     """
-    f1, f2, f3 = _rat(f1), _rat(f2), _rat(f3)
-    a = (f1 - 2 * f2 + f3) / 2
-    b = (f2 - f1) - 3 * a
-    c = f1 - a - b
-    return QuadraticPoly(a, b, c)
+    a2 = f1 - 2 * f2 + f3
+    b2 = 2 * (f2 - f1) - 3 * a2
+    return QuadraticPoly(a2, b2, 2 * f1 - a2 - b2)
 
 
 class SpiralAngle(NamedTuple):
@@ -105,7 +94,7 @@ def limit_spiral_angle(p) -> SpiralAngle:
     multiple of pi the arm re-aligns every other step and the drift is
     reported as 0 with the degenerate flag set.
     """
-    a = float(p.a) if isinstance(p, QuadraticPoly) else float(p)
+    a = p.a2 / 2 if isinstance(p, QuadraticPoly) else float(p)
     if a <= 0:
         raise ValueError("limit angle needs a > 0")
     step = 2.0 * math.sqrt(a)

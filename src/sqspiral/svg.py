@@ -30,14 +30,16 @@ WIDTH, HEIGHT = 640, 400   # report figure, pixels
 
 
 def parse_style(text: str) -> dict:
-    """Parse a key=value style file; unknown keys are rejected, and so are colors
-    not #rgb or #rrggbb and widths and radii that are not positive decimals."""
-    style = DEFAULT_STYLE | {k: v for _, k, v in parse_key_values(text, DEFAULT_STYLE, "style")}
-    for key, value in style.items():
+    """Parse a key=value style file line by line: an unknown key, a color not #rgb
+    or #rrggbb, or a width or radius not a positive decimal is refused with its line."""
+    style = dict(DEFAULT_STYLE)
+    for lineno, key, value in parse_key_values(text, DEFAULT_STYLE, "style"):
         color = key in ("background", "boundary.color")
         if not (re.fullmatch(r"#([0-9a-fA-F]{3}){1,2}", value) if color else
                 re.fullmatch(r"[0-9]*\.?[0-9]+", value) and float(value) > 0):
-            raise ValueError(f"style {key}: {value!r} is not a valid {key.split('.')[-1]}")
+            raise ValueError(f"style line {lineno}: {key}: {value!r} is not a valid "
+                             f"{key.split('.')[-1]}")
+        style[key] = value
     return style
 
 

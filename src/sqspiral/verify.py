@@ -274,7 +274,7 @@ def suite_table3() -> list[Check]:
                         "Newton fit == printed cell == shift of f1"))
     n1 = newton_quadratic(22, 77, 154)
     out.append(_flag("table3.exemplary_11x2_22x_m11",
-                     n1 == QuadraticPoly(11, 22, -11), str(n1),
+                     n1 == QuadraticPoly(22, 44, -22), str(n1),
                      "11*x^2 + 22*x - 11"))
     q1 = newton_quadratic(1, 16, 49)
     out.append(_flag("table3.square_graph_poly", q1 == QuadraticPoly(*pub.FIG15_POLY),
@@ -400,7 +400,7 @@ def suite_primes() -> list[Check]:
                          count == pub.DERIVED_PRIME_COUNTS_100[name], count,
                          pub.DERIVED_PRIME_COUNTS_100[name], "frozen sieve golden"))
         dens = count / 100
-        base = 3 * pr.pnt_baseline(int(2 * poly.a), 100)
+        base = 3 * pr.pnt_baseline(poly.a2, 100)
         out.append(_flag(f"primes.{name}_density_over_3pnt", dens > base,
                          _num(dens), f"> {_num(base)}"))
     b3 = QuadraticPoly(*pub.PRIME_POLYS["B3"])
@@ -412,7 +412,7 @@ def suite_primes() -> list[Check]:
     for name, dd in (("B3", 18), ("K5", 22)):
         rows = pr.scan_prime_polys(dd, range(-10, 20), 100)
         want = QuadraticPoly(*pub.PRIME_POLY_CANONICAL[name])
-        hit = {r.key: r for r in rows}.get(want.doubled())
+        hit = {r.key: r for r in rows}.get(tuple(want))
         out.append(_flag(f"primes.scan_D{dd}_contains_{name}",
                          hit is not None and hit.coprime6,
                          "found, coprime6" if hit else "missing",

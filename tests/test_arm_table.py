@@ -40,7 +40,7 @@ def _mixed(table):
     """Arms of two walks, out of order, and one arm built by hand."""
     walk7, walk11 = (traced_arms(table, np.array(members(parse_group(spec), 2000)), 2000)
                      for spec in ("div:7", "div:11"))
-    hand = Arm([5, 9, 14], QuadraticPoly(Fraction(1, 2), Fraction(5, 2), 2), 1, [0.1, -0.2],
+    hand = Arm([5, 9, 14], QuadraticPoly(1, 5, 4), 1, [0.1, -0.2],
                "indeterminate")
     return walk11[::40] + [hand] + walk7[:30] + walk11[-3:] + walk7[5:8]
 
@@ -91,7 +91,7 @@ def test_an_arm_is_a_record_that_pickles_alone():
     assert not any(isinstance(v, Arms) for v in vars(arm).values())
     with pytest.raises(dataclasses.FrozenInstanceError):
         arm.start_t = 0
-    hand = Arm([5, 9, 14], QuadraticPoly(Fraction(1, 2), Fraction(5, 2), 2), 1, [0.1, -0.2],
+    hand = Arm([5, 9, 14], QuadraticPoly(1, 5, 4), 1, [0.1, -0.2],
                "N")
     assert hand.members == (5, 9, 14) and hand.drifts == (0.1, -0.2)
 

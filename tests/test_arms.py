@@ -49,7 +49,7 @@ def _trace(table, spec, seed, max_n):
 def test_trace_known_arms(table2000):
     arm = _trace(table2000, "div:11", (22, 77, 154), 600)
     assert arm.members == (22, 77, 154, 253, 374, 517)   # the whole chain
-    assert arm.poly == QuadraticPoly(11, 0, -22)   # 11x^2+22x-11 shifted by -1
+    assert arm.poly == QuadraticPoly(22, 0, -44)   # 11x^2+22x-11 shifted by -1
     assert arm.poly(arm.start_t) == arm.members[0]
     arm = _trace(table2000, "squares", (1, 16, 49), 600)
     assert arm.members[:6] == (1, 16, 49, 100, 169, 256)
@@ -154,8 +154,8 @@ def test_lazy_arm_equals_arm_from_its_fields():
             (arm.second_differential, arm.b_hat)
     other = Arm(arm.members, arm.poly, arm.start_t + 1, arm.drifts, arm.direction)
     assert other != arm
-    with pytest.raises(ValueError):
-        Arm(arm.members, QuadraticPoly(Fr(1, 3), 0, 0), 0, arm.drifts, "N")
+    with pytest.raises(TypeError):         # no polynomial but a half-integer one
+        QuadraticPoly(Fr(1, 3), 0, 0)
     with pytest.raises(ValueError):
         Arm(arm.members, arm.poly, arm.start_t, arm.drifts, "S")
 
@@ -165,13 +165,13 @@ def test_arm_columns_reads_each_walk(table2000):
     come back to a walk: each arm's columns are read from its own flat arrays."""
     walk7, walk11 = (traced_arms(table2000, np.array(members(parse_group(spec), 2000)), 2000)
                      for spec in ("div:7", "div:11"))
-    hand = Arm([5, 9, 14], QuadraticPoly(Fr(1, 2), Fr(5, 2), 2), 1, [0.1, -0.2], "N")
+    hand = Arm([5, 9, 14], QuadraticPoly(1, 5, 4), 1, [0.1, -0.2], "N")
     arms = walk7[:3] + walk11[:6:2] + [hand] + walk7[10:12] + walk11[-1:]
     bitmap = np.zeros(2001, dtype=bool)
     bitmap[::11] = bitmap[5] = True
     dd, b2, c2, size, marked = arm_columns(arms, bitmap)
     assert [(d, b, c) for d, b, c in zip(dd.tolist(), b2.tolist(), c2.tolist())] == \
-        [arm.poly.doubled() for arm in arms]
+        [tuple(arm.poly) for arm in arms]
     assert size.tolist() == [len(arm.members) for arm in arms]
     assert marked.tolist() == [sum(bitmap[m] for m in arm.members) for arm in arms]
     assert marked[3:6].tolist() == size[3:6].tolist() and marked[6] == 1
@@ -180,10 +180,10 @@ def test_arm_columns_reads_each_walk(table2000):
 
 def test_find_arm_by_canonical_polynomial():
     arms = _cached_arm_reports()["div:13"].arms
-    found = find_arms(arms, [arm.poly.doubled() for arm in arms])
+    found = find_arms(arms, [tuple(arm.poly) for arm in arms])
     assert len(found) == len(arms) and all(f is arm for f, arm in zip(found, arms))
-    canon = newton_quadratic(26, 91, 182).canonicalize()[0].doubled()
-    d, b2, c2 = arms[0].poly.doubled()
+    canon = tuple(newton_quadratic(26, 91, 182).canonicalize()[0])
+    d, b2, c2 = arms[0].poly
     # past every row, before every row, and the D and 2b of an arm
     missing = [(2000, 0, 2), (-13, 0, 0), (d, b2, c2 - 2 * 10**6)]
     found = find_arms(arms, [missing[0], canon, missing[1], missing[2]])
@@ -199,11 +199,11 @@ def test_find_arm_by_canonical_polynomial():
 @given(st.lists(st.tuples(st.integers(1, 10**6), st.integers(1, 60), st.integers(1, 20)),
                 min_size=1, max_size=8))
 def test_canonical_keys_are_the_canonical_fits(firsts):
-    """Integer keys from three members equal the Fraction fit's doubled canonical form."""
+    """Integer keys from three members, as arrays, equal the scalar fit's canonical keys."""
     seqs = [(m1, m1 + g1, m1 + g1 + g1 + g2) for m1, g1, g2 in firsts]  # D = g2 >= 1
     keys, shift = canonical_keys(*np.array(seqs, dtype=np.int64).T)
     fits = [newton_quadratic(*seq).canonicalize() for seq in seqs]
-    assert [tuple(k) for k in keys.T.tolist()] == [poly.doubled() for poly, _ in fits]
+    assert [tuple(k) for k in keys.T.tolist()] == [tuple(poly) for poly, _ in fits]
     assert shift.tolist() == [s for _, s in fits]
 
 

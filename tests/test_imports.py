@@ -1,5 +1,6 @@
-"""No module reaches into another sqspiral module's private names, and no
-package module imports a name it does not use.
+"""No module reaches into another sqspiral module's private names, no
+package module imports a name it does not use, and only `ratpoly` and `arms`
+import `fractions`.
 
 Checked statically over the package and the scripts: `from <sqspiral module>
 import _x` and `<sqspiral module>._x` both fail.  Dunder names are public.
@@ -97,6 +98,34 @@ def test_checker_catches_unused_import():
     assert unused_imports("import os.path\nimport numpy as np\n") == ["os", "np"]
     assert unused_imports("from __future__ import annotations\n"
                           "import numpy as np\n\ndef f(a: np.ndarray): pass\n") == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source imports by absolute name."""
+    tree = ast.parse(source)
+    return ({alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names}
+            | {node.module.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 0})
+
+
+#: The package modules that may build Fractions: ratpoly, for a polynomial's
+#: a, b, c and exact values, and arms, for a system cluster's b-residues.
+FRACTION_MODULES = {"ratpoly.py", "arms.py"}
+
+
+def test_only_ratpoly_and_arms_import_fractions():
+    """A polynomial is held as its doubled integer key, so no fit, shift, scan
+    or writer needs Fraction arithmetic."""
+    users = {p.name for p in (ROOT / "src" / "sqspiral").glob("*.py")
+             if "fractions" in imported_modules(p.read_text(encoding="utf-8"))}
+    assert users <= FRACTION_MODULES
+
+
+def test_checker_finds_imported_modules():
+    assert imported_modules("from fractions import Fraction as Fr\nimport os.path\n"
+                            "from . import arms\nfrom .ratpoly import QuadraticPoly\n"
+                            ) == {"fractions", "os"}
 
 
 # Re-exported, yet read only by the tests, on purpose:

@@ -42,11 +42,14 @@ def test_sieve_count_1e6():
 
 
 def test_coprime6_examples():
-    assert coprime6_check(QuadraticPoly(9, 27, 17))
-    assert not coprime6_check(QuadraticPoly(9, 6, 1))      # value 16 at t=1
-    assert not coprime6_check(QuadraticPoly(1, 0, 0))
+    assert coprime6_check(QuadraticPoly(18, 54, 34))
+    assert not coprime6_check(QuadraticPoly(18, 12, 2))    # value 16 at t=1
+    assert not coprime6_check(QuadraticPoly(2, 0, 0))
     with pytest.raises(ValueError):
-        coprime6_check(QuadraticPoly(Fr(1, 2), 0, 0))
+        coprime6_check(QuadraticPoly(1, 0, 0))
+    # a shift keeps the values' residues, however far, past 64 bits too
+    assert coprime6_check(QuadraticPoly(18, 54, 34).shift(10**30))
+    assert not coprime6_check(QuadraticPoly(18, 12, 2).shift(-10**30))
 
 
 def test_coprime6_integer_values_match_fraction_evaluation():
@@ -54,8 +57,8 @@ def test_coprime6_integer_values_match_fraction_evaluation():
     for a2 in range(-3, 7):
         for b2 in range(a2 % 2 - 8, 9, 2):
             for c in range(-6, 7):
-                poly = QuadraticPoly(Fr(a2, 2), Fr(b2, 2), c)
-                values = [int(poly(t)) for t in range(1, 13)]
+                poly = QuadraticPoly(a2, b2, 2 * c)
+                values = [int(Fr(a2, 2) * t * t + Fr(b2, 2) * t + c) for t in range(1, 13)]
                 assert coprime6_check(poly) == all(v % 2 and v % 3 for v in values)
 
 
@@ -73,7 +76,7 @@ def test_scan_contains_published_polys():
     b3 = best[(Fr(9), Fr(9), Fr(-1))]      # canonical form of 9x^2+27x+17
     assert b3.coprime6 and b3.density > 0.5
     rows22 = scan_prime_polys(22, range(-10, 20), 100)
-    k5 = next(r for r in rows22 if r.poly == QuadraticPoly(11, 3, -1))
+    k5 = next(r for r in rows22 if r.poly == QuadraticPoly(22, 6, -2))
     assert k5.coprime6
 
 
@@ -120,7 +123,7 @@ def test_scan_in_blocks_is_one_scan(monkeypatch):
 
 def test_scan_all_even_poly_has_no_primes():
     rows = scan_prime_polys(18, range(2, 3), 60)
-    even = next(r for r in rows if r.poly == QuadraticPoly(9, 9, 2))
+    even = next(r for r in rows if r.poly == QuadraticPoly(18, 18, 4))
     assert even.prime_count <= 1
 
 

@@ -136,7 +136,7 @@ def test_fib_angles_past_the_float_range_are_a_value_error(count):
 def test_axis_crossings(table400):
     report = axis_crossings(table400, 6)
     assert report.crossings == (2, 18, 54, 110, 186, 282)
-    assert report.poly == QuadraticPoly(10, -14, 6)
+    assert report.poly == QuadraticPoly(20, -28, 12)
     assert set(report.second_diffs) == {20}
     assert report.angles_deg[0] == pytest.approx(45.0, abs=1e-9)
     assert report.angles_deg[1] == pytest.approx(4.78344235, abs=1e-4)

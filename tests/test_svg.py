@@ -106,6 +106,18 @@ def test_style_parsing():
             parse_style(line)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("arm.width = 2\nboundary.color = red\n",
+     "style line 2: boundary.color: 'red' is not a valid color"),
+    ("# widths\n\nmarker.radius = -1\nmarker.radius = 3\n",   # set again, still refused
+     "style line 3: marker.radius: '-1' is not a valid radius"),
+])
+def test_bad_style_value_names_its_line(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_style(text)
+    assert str(err.value) == message
+
+
 def test_report_figure_limit_rule():
     series = square_band_ratio_series(60)
     doc = render_report_figure(series)

@@ -120,12 +120,12 @@ _drift = st.one_of(
                           st.floats(1e6, 1e16)), max_size=40))
 @settings(max_examples=300, deadline=None)
 def test_drifts_are_written_as_json_writes_them(drifts):
-    arm = Arm([5, 9, 14], QuadraticPoly(Fraction(1, 2), Fraction(5, 2), 2), 1, drifts, "N")
+    arm = Arm([5, 9, 14], QuadraticPoly(1, 5, 4), 1, drifts, "N")
     report = classify_systems([arm], parse_group("div:7"), 1000)
     assert report_json(report) == old_report_json(report)
 
 
-_half = st.integers(-400, 400).map(lambda q: Fraction(q, 2))
+_doubled = st.integers(-400, 400)   # 2a, 2b or 2c of a half-integer quadratic
 
 
 @st.composite
@@ -134,7 +134,7 @@ def _arms(draw):
     for _ in range(draw(st.integers(0, 6))):
         mem = draw(st.lists(st.integers(1, 10**6), min_size=0, max_size=8))
         drifts = draw(st.lists(_drift, max_size=8))
-        poly = QuadraticPoly(draw(_half), draw(_half), draw(_half))
+        poly = QuadraticPoly(draw(_doubled), draw(_doubled), draw(_doubled))
         out.append(Arm(mem, poly, draw(st.integers(-5, 50)), drifts,
                        draw(st.sampled_from(arms_mod.DIRECTIONS))))
     return out
