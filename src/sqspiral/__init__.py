@@ -22,5 +22,5 @@ from .series import (AnalysisSeries, CrossingsReport, FibAngles,
                      square_angle_series, square_band_ratio_series)
 from .primes import (PolyDensityRow, PrimalityTable, PrimeArm, coprime6_check,
                      prime_arm_report, scan_prime_polys, sieve)
-from .svg import GroupStyle, RenderSpec, parse_style, render_report_figure, render_svg
+from .svg import parse_style, render_report_figure, render_svg
 from .config import Config, load_config, parse_config

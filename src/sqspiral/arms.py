@@ -15,7 +15,6 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, groupby
-from fractions import Fraction
 
 import numpy as np
 
@@ -114,7 +113,7 @@ class Arm:
         return self.poly.a2
 
     @property
-    def b_hat(self) -> Fraction:
+    def b_hat(self):
         return self.poly.b
 
 
@@ -398,11 +397,11 @@ class SystemCluster:
 
     direction: str
     second_differential: int
-    b_hats: tuple                 # sorted distinct b-residues (the systems)
+    b2s: tuple                    # sorted distinct ints 2b of the b-residues (the systems)
 
     @property
     def count(self) -> int:
-        return len(self.b_hats)
+        return len(self.b2s)
 
 
 @dataclass(frozen=True)
@@ -432,7 +431,7 @@ def classify_systems(arms, group: NumberGroup, max_n: int) -> SystemReport:
     key = np.stack([code, dd, b2])[:, np.lexsort((b2, dd, code))]
     systems = key[:, _firsts(key)].T.tolist()
     clusters = [SystemCluster(direction=DIRECTIONS[code], second_differential=dd,
-                              b_hats=tuple(Fraction(b2, 2) for *_, b2 in rows))
+                              b2s=tuple(b2 for *_, b2 in rows))
                 for (code, dd), rows in groupby(systems, key=lambda s: s[:2])]
     return SystemReport(group=group, max_n=max_n, arms=arms, clusters=tuple(clusters))
 
@@ -448,13 +447,11 @@ def find_arms(arms, keys) -> list:
 
 
 def b_hat_lattice_ok(cluster: SystemCluster, p: int) -> bool:
-    """b-residues form an arithmetic progression of step p filling [0, 2a)."""
-    bh = cluster.b_hats
-    expected = Fraction(cluster.second_differential, p)
-    if len(bh) != expected or expected.denominator != 1:
-        return False
-    steps = {b2 - b1 for b1, b2 in zip(bh, bh[1:])}
-    return (not steps or steps == {Fraction(p)}) and bh[0] < p
+    """b-residues form an arithmetic progression of step p filling [0, 2a):
+    on the ints 2b, D / p of them, the first below 2p, each step 2p."""
+    b2s, dd = cluster.b2s, cluster.second_differential
+    return (dd % p == 0 and len(b2s) == dd // p and b2s[0] < 2 * p
+            and all(hi - lo == 2 * p for lo, hi in zip(b2s, b2s[1:])))
 
 
 def verify_rule_5_2(report: SystemReport):
@@ -505,7 +502,7 @@ def report_json_blocks(report: SystemReport):
         "max_n": report.max_n,
         "systems": {
             d: [{"D": cl.second_differential, "count": cl.count,
-                 "b_hats": [str(b) for b in cl.b_hats]}
+                 "b_hats": half_strs(cl.b2s)}
                 for cl in report.clusters if cl.direction == d]
             for d in ("N", "P")
         },

@@ -20,8 +20,7 @@ from .constants import c2_estimate, constants_report
 from .series import (axis_crossings, fib_angle_series, fib_area_ratio_series,
                      fibonacci_numbers, same_arm_angle_series,
                      square_angle_series, square_band_ratio_series)
-from .svg import (DEFAULT_STYLE, GroupStyle, RenderSpec, parse_style, render_report_figure,
-                  render_svg)
+from .svg import DEFAULT_STYLE, MARKER_COLOR, parse_style, render_report_figure, render_svg
 from .table import build_table, load_table, save_table
 
 EXIT_OK = 0
@@ -117,26 +116,22 @@ def _table_for(cfg: Config, max_n: int):
     return build_table(max_n)
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
 def cmd_build(args, cfg: Config) -> int:
     path = args.cache or cfg.cache_path
     table = build_table(args.n)
     if path:
         save_table(table, path)
-    _emit(f"max_n={table.max_n}\n"
-          f"final_angle={table.w(table.max_n):.12f}\n"
-          f"c2_raw={c2_estimate(table.max_n, table.w(table.max_n)):.12f}\n")
+    sys.stdout.write(f"max_n={table.max_n}\n"
+                     f"final_angle={table.w(table.max_n):.12f}\n"
+                     f"c2_raw={c2_estimate(table.max_n, table.w(table.max_n)):.12f}\n")
     if path:
-        _emit(f"cache={path}\n")
+        sys.stdout.write(f"cache={path}\n")
     return EXIT_OK
 
 
 def cmd_verify(args, cfg: Config) -> int:
     checks = verify_mod.run_suite(args.suite)
-    _emit(verify_mod.render_report(checks))
+    sys.stdout.write(verify_mod.render_report(checks))
     return EXIT_OK if all(c.ok for c in checks) else EXIT_VERIFY
 
 
@@ -148,8 +143,7 @@ def cmd_arms(args, cfg: Config) -> int:
     report = arms_mod.classify_systems(found, group, max_n)
     fmt = args.format or cfg.output
     blocks = arms_mod.report_json_blocks if fmt == "json" else arms_mod.report_csv_blocks
-    for block in blocks(report):
-        _emit(block)
+    sys.stdout.writelines(blocks(report))
     return EXIT_OK
 
 
@@ -158,9 +152,9 @@ def _emit_series(series, args, cfg: Config, companions=()) -> None:
     fmt = args.format or cfg.output
     if fmt == "json":
         for s in (series, *companions):
-            _emit(s.summary_json())
+            sys.stdout.write(s.summary_json())
     else:
-        _emit(series.to_csv())
+        sys.stdout.write(series.to_csv())
     if args.figure:
         with open(args.figure, "w", encoding="utf-8") as fh:
             fh.write(render_report_figure(series))
@@ -182,8 +176,7 @@ def cmd_areas(args, cfg: Config) -> int:
     elif args.winding_distances is not None:
         max_n = args.winding_distances
         report = constants_report(_table_for(cfg, max_n), probes=range(1, max_n))
-        for block in report.winding_csv_blocks():
-            _emit(block)
+        sys.stdout.writelines(report.winding_csv_blocks())
         return EXIT_OK
     else:
         table = _table_for(cfg, max(400, 12 * args.crossings ** 2))
@@ -192,7 +185,7 @@ def cmd_areas(args, cfg: Config) -> int:
                "second_diffs": list(report.second_diffs),
                "angles_deg": [round(a, 8) for a in report.angles_deg],
                "notes": report.notes()}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
     _emit_series(series, args, cfg)
     return EXIT_OK
@@ -214,11 +207,11 @@ def cmd_primes(args, cfg: Config) -> int:
         rows = primes_mod.scan_prime_polys(args.scan_d,
                                            range(args.c_min, args.c_max + 1),
                                            args.t)
-        _emit(primes_mod.scan_csv(rows))
+        sys.stdout.write(primes_mod.scan_csv(rows))
     else:
         max_n = args.n or cfg.max_n
         table = _table_for(cfg, max_n)
-        _emit(primes_mod.arm_report_csv(primes_mod.prime_arm_report(table, max_n)))
+        sys.stdout.write(primes_mod.arm_report_csv(primes_mod.prime_arm_report(table, max_n)))
     return EXIT_OK
 
 
@@ -229,18 +222,17 @@ def cmd_render(args, cfg: Config) -> int:
     if args.style:
         with open(args.style, encoding="utf-8") as fh:
             style = parse_style(fh.read())
-    groups = tuple(GroupStyle(group=arms_mod.parse_group(spec))
-                   for spec in args.group)
+    groups = [arms_mod.parse_group(spec) for spec in args.group]
     overlays = []
     if args.arms:
-        for gs in groups:
-            arms = arms_mod.enumerate_arms(table, gs.group, max_n)
+        for group in groups:
+            arms = arms_mod.enumerate_arms(table, group, max_n)
             overlays.extend(arms.member_tuples(range(len(arms))))
-    doc = render_svg(table, RenderSpec(max_n=max_n, groups=groups, arm_overlays=tuple(overlays),
-                                       mirror=args.mirror or cfg.mirror, style=style))
+    doc = render_svg(table, max_n, [(group, MARKER_COLOR) for group in groups], overlays,
+                     args.mirror or cfg.mirror, style)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(doc)
-    _emit(f"wrote {args.out}\n")
+    sys.stdout.write(f"wrote {args.out}\n")
     return EXIT_OK
 
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 
 from .table import TAU, SpiralTable
 from .config import parse_key_values
@@ -23,6 +22,7 @@ DEFAULT_STYLE = {
     "arm.width": "1.5",
 }
 
+MARKER_COLOR = "#d9a516"   # group markers of the render command
 ARM_COLORS = ("#2d7d46", "#b03a2e", "#2e6db0", "#8e44ad")  # overlays cycle these
 SIZE = 800          # spiral drawing: width and height in pixels
 SCALE = 20.0        # spiral drawing: user units per unit of radius
@@ -43,53 +43,40 @@ def parse_style(text: str) -> dict:
     return style
 
 
-@dataclass(frozen=True)
-class GroupStyle:
-    group: _arms.NumberGroup
-    color: str = "#d9a516"
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    max_n: int
-    groups: tuple = ()
-    arm_overlays: tuple = ()          # member sequences, one per arm
-    mirror: bool = False
-    style: dict = field(default_factory=lambda: dict(DEFAULT_STYLE))
-
-
 def _fmt(x: float) -> str:
     out = f"{x:.6f}"
     return "0.000000" if out == "-0.000000" else out
 
 
-def render_svg(table: SpiralTable, spec: RenderSpec) -> str:
-    """Spiral boundary polyline, group markers, and arm overlay polylines; each
-    drawn ray is placed once, on the boundary, and its markers and overlays reuse it."""
-    if spec.max_n > table.max_n:
-        raise IndexError(f"render range {spec.max_n} exceeds table bound {table.max_n}")
-    if (low := min((n for arm in spec.arm_overlays for n in arm), default=1)) < 1:
-        raise IndexError(f"ray {low} outside render range 1..{spec.max_n}")
+def render_svg(table: SpiralTable, max_n: int, groups=(), arm_overlays=(), mirror=False,
+               style=DEFAULT_STYLE) -> str:
+    """Spiral boundary polyline, markers of the (NumberGroup, color) pairs `groups`,
+    and a polyline per member sequence of `arm_overlays`; each drawn ray is placed
+    once, on the boundary, and its markers and overlays reuse it."""
+    if max_n > table.max_n:
+        raise IndexError(f"render range {max_n} exceeds table bound {table.max_n}")
+    if (low := min((n for arm in arm_overlays for n in arm), default=1)) < 1:
+        raise IndexError(f"ray {low} outside render range 1..{max_n}")
     points = []  # "x,y" of rays 1..max_n, one angle read as a float at a time
-    for n, total in enumerate(map(float, table.cum_angle[:spec.max_n]), 1):
+    for n, total in enumerate(map(float, table.cum_angle[:max_n]), 1):
         mod = total % TAU
         r = math.sqrt(n)
         x, y = r * math.cos(mod), r * math.sin(mod)
-        points.append(f"{_fmt(x * SCALE)},{_fmt((y if spec.mirror else -y) * SCALE)}")
-    style, marks = spec.style, []
-    for gs in spec.groups:
-        for n in _arms.members(gs.group, spec.max_n):
+        points.append(f"{_fmt(x * SCALE)},{_fmt((y if mirror else -y) * SCALE)}")
+    marks = []
+    for group, color in groups:
+        for n in _arms.members(group, max_n):
             x, y = points[n - 1].split(",")
             marks.append(
-                f'<circle cx="{x}" cy="{y}" r="{style["marker.radius"]}" fill="{gs.color}"/>')
-    for idx, arm in enumerate(spec.arm_overlays):
-        pts = " ".join(points[n - 1] for n in arm if n <= spec.max_n)
+                f'<circle cx="{x}" cy="{y}" r="{style["marker.radius"]}" fill="{color}"/>')
+    for idx, arm in enumerate(arm_overlays):
+        pts = " ".join(points[n - 1] for n in arm if n <= max_n)
         marks.append(
             f'<polyline points="{pts}" fill="none" stroke="{ARM_COLORS[idx % len(ARM_COLORS)]}" '
             f'stroke-width="{style["arm.width"]}"/>')
     boundary = " ".join(points)
     del points  # not held while the boundary is copied into the document
-    extent = SCALE * math.sqrt(spec.max_n) + 4 * SCALE
+    extent = SCALE * math.sqrt(max_n) + 4 * SCALE
     view = f"{_fmt(-extent)} {_fmt(-extent)} {_fmt(2 * extent)} {_fmt(2 * extent)}"
     return "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',

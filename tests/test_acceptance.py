@@ -12,7 +12,7 @@ import pytest
 from sqspiral import published, verify
 from sqspiral.constants import c2_extrapolate
 from sqspiral.table import build_table, table_for
-from sqspiral.svg import RenderSpec, render_svg
+from sqspiral.svg import render_svg
 
 #: SHA-256 of the `verify all` report, frozen before the engines were merged.
 VERIFY_ALL_SHA256 = "0dc39200b6aa449249b3e057d47af19fb2ff8cd5a6fa1c1a25765fda2a8651a7"
@@ -94,8 +94,7 @@ def test_criterion_11_determinism(suites):
     second = verify.render_report(verify.run_suite("all"))
     same = first == second
     table = table_for(400)
-    spec = RenderSpec(max_n=300)
-    svg_same = render_svg(table, spec) == render_svg(table, spec)
+    svg_same = render_svg(table, 300) == render_svg(table, 300)
     print(f"ACCEPTANCE 11 (determinism): {'PASS' if same and svg_same else 'FAIL'}")
     assert same and svg_same
 

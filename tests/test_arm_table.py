@@ -33,7 +33,9 @@ def old_clusters(arms) -> list:
 
 
 def clusters(report) -> list:
-    return [(cl.direction, cl.second_differential, cl.b_hats) for cl in report.clusters]
+    """(direction, D, b_hats) per cluster, its b-residues read from its ints 2b."""
+    return [(cl.direction, cl.second_differential, tuple(Fraction(b2, 2) for b2 in cl.b2s))
+            for cl in report.clusters]
 
 
 def _mixed(table):

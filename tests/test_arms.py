@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from sqspiral import arms as arms_mod, verify
 from sqspiral.arms import (DIRECTIONS, MIN_ARM_LEN, SEED_BLOCK, WINDOW_HI, WINDOW_LO, Arm,
-                           NumberGroup, _walk,
+                           NumberGroup, SystemCluster, _walk,
                            arm_columns, traced_arms,
                            b_hat_lattice_ok, canonical_keys, direction_codes,
                            enumerate_arms, find_arms, in_window, members,
@@ -324,21 +324,26 @@ def test_enumerate_deterministic_order(table2000):
     assert len(set(keys)) == len(keys)
 
 
+def b_hats(cluster) -> tuple:
+    """A cluster's b-residues as Fractions, from its ints 2b."""
+    return tuple(Fr(b2, 2) for b2 in cluster.b2s)
+
+
 def test_classify_known_groups():
     reports = _cached_arm_reports()
     r11 = reports["div:11"]
     assert r11.cluster("N", 22).count == 2
-    assert r11.cluster("N", 22).b_hats == (Fr(0), Fr(11))
+    assert b_hats(r11.cluster("N", 22)) == (Fr(0), Fr(11))
     assert r11.cluster("P", 22).count == 2
     r13 = reports["div:13"]
     assert r13.cluster("N", 26).count == 2
     assert r13.cluster("P", 13).count == 1
-    assert r13.cluster("P", 13).b_hats == (Fr(13, 2),)
+    assert b_hats(r13.cluster("P", 13)) == (Fr(13, 2),)
     mixed = r13.directions_mixed()
     assert mixed["N"] and mixed["P"]
     r3 = reports["div:3"]
-    assert r3.cluster("N", 21).b_hats == tuple(Fr(k, 2) for k in range(3, 42, 6))
-    assert r3.cluster("P", 18).b_hats == tuple(Fr(k) for k in range(0, 18, 3))
+    assert b_hats(r3.cluster("N", 21)) == tuple(Fr(k, 2) for k in range(3, 42, 6))
+    assert b_hats(r3.cluster("P", 18)) == tuple(Fr(k) for k in range(0, 18, 3))
 
 
 def test_rule_5_2():
@@ -350,6 +355,40 @@ def test_rule_5_2():
             assert rule[direction][dd] is True
             assert b_hat_lattice_ok(reports[f"div:{p}"].cluster(direction, dd), p)
     assert verify_rule_5_2(reports["squares"]) is None
+
+
+def old_lattice_ok(dd, bh, p) -> bool:
+    """`b_hat_lattice_ok` as it was on Fraction b-residues."""
+    expected = Fr(dd, p)
+    if len(bh) != expected or expected.denominator != 1:
+        return False
+    steps = {b2 - b1 for b1, b2 in zip(bh, bh[1:])}
+    return (not steps or steps == {Fr(p)}) and bh[0] < p
+
+
+@given(st.integers(1, 13), st.integers(1, 44), st.integers(0, 7), st.integers(-3, 3),
+       st.lists(st.integers(0, 90), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_b_hat_lattice_ok_on_ints_matches_the_fraction_rule(p, dd, at, shift, drawn):
+    """On a lattice of step 2p from dd mod 2p, on it with one residue moved or
+    the first dropped, and on any set of ints 2b."""
+    lattice = list(range(dd % (2 * p), 2 * dd, 2 * p))
+    moved = lattice.copy()
+    moved[at % len(moved)] += shift
+    for b2s in (lattice, moved, lattice[1:], drawn):
+        b2s = sorted(set(b2s))
+        if b2s:
+            cluster = SystemCluster(direction="N", second_differential=dd, b2s=tuple(b2s))
+            assert b_hat_lattice_ok(cluster, p) == old_lattice_ok(
+                dd, [Fr(b2, 2) for b2 in b2s], p), (p, dd, b2s)
+
+
+def test_b_hat_lattice_ok_on_ints():
+    ok = [((7, 21, 35), 21, 7), ((0, 22), 22, 11), ((13,), 13, 13)]
+    bad = [((7, 21), 21, 7), ((7, 21, 37), 21, 7), ((21, 35, 49), 21, 7), ((1, 3), 5, 2)]
+    for b2s, dd, p in ok + bad:
+        cluster = SystemCluster(direction="P", second_differential=dd, b2s=b2s)
+        assert b_hat_lattice_ok(cluster, p) == ((b2s, dd, p) in ok)
 
 
 def test_rule52_rows_are_the_printed_lines():

@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -9,7 +11,7 @@ import pytest
 
 from sqspiral import cli
 from sqspiral.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from sqspiral.table import TAU, build_table
+from sqspiral.table import TAU, CapacityError, build_table
 
 
 def run(capsys, *argv):
@@ -198,6 +200,33 @@ def test_non_positive_sizes_are_usage_errors(tmp_path, capsys, monkeypatch, argv
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.xfail(strict=True, raises=CapacityError,
+                   reason="a size past the table budget is still a traceback with exit 1")
+@pytest.mark.parametrize("argv", [
+    "build --n 200000000",
+    "arms --group div:7 --n 200000000",
+    "render --n 200000000 --out x.svg",
+    "areas --square-angles 20000",
+    "areas --same-arm 20000",
+    "areas --winding-distances 200000000",
+    "areas --crossings 100000",
+    "fib --angles --count 100",
+    "primes --report --n 400000000",
+])
+def test_sizes_past_the_table_budget_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
+    """Each of these asks for a table past the entry budget, and raises before
+    it allocates anything; like the sieve past its budget, it should exit 64."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SQSPIRAL_CACHE", raising=False)
+    assert main(argv.split()) == EXIT_USAGE
+
+
+def test_sieve_past_its_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "primes", "--scan-d", "100000", "--t", "100000")
+    assert code == EXIT_USAGE and out == "" and "exceeds budget" in err
+
+
 def test_prime_report_below_two_is_empty(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, "primes", "--report", "--n", "1")
@@ -324,3 +353,18 @@ def test_parser_built_once_and_reused(tmp_path, capsys, monkeypatch):
                                             EXIT_OK, EXIT_OK]
     assert fresh[0][3] != fresh[1][3]          # the squares markers stay in a.svg
     assert parser.parse_args(["render", "--out", "d.svg"]).group == []
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    """Every `sqspiral ...` line of the README's CLI block, comment stripped,
+    exits 0 with nothing on stderr."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    examples = [shlex.split(line.split("#")[0])[1:] for line in block.splitlines()
+                if line.startswith("sqspiral ")]
+    assert len(examples) == 10
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SQSPIRAL_CACHE", raising=False)
+    for argv in examples:
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, ""), argv

@@ -62,8 +62,7 @@ def test_winding_distance_known_pairs(table400):
     assert rows.distance[1] == pytest.approx(3.1436, abs=1e-4)
 
 
-FIELDS = {"n": np.int64, "m": np.int64, "distance": np.float64,
-          "winding": np.int64, "gap": np.float64}
+FIELDS = {"n": np.int64, "m": np.int64, "distance": np.float64, "winding": np.int64}
 
 
 def _one_turn_rows(table, probes):
@@ -79,8 +78,7 @@ def _one_turn_rows(table, probes):
         assert j > n                             # triangle n spans less than a turn
         m = j if abs(cum[j - 1] - target) <= abs(cum[j] - target) else j + 1
         for field, value in (("n", n), ("m", m), ("distance", math.sqrt(m) - math.sqrt(n)),
-                             ("winding", 1 + int(table.angle_of(m) // TAU)),
-                             ("gap", (table.angle_of(m) - table.angle_of(n)) - TAU)):
+                             ("winding", 1 + int(table.angle_of(m) // TAU))):
             cols[field].append(value)
     return {field: np.array(cols[field], dtype=dtype) for field, dtype in FIELDS.items()}
 

@@ -1,6 +1,6 @@
 """No module reaches into another sqspiral module's private names, no
-package module imports a name it does not use, and only `ratpoly` and `arms`
-import `fractions`.
+package module imports a name it does not use, and only `ratpoly` imports
+`fractions`.
 
 Checked statically over the package and the scripts: `from <sqspiral module>
 import _x` and `<sqspiral module>._x` both fail.  Dunder names are public.
@@ -109,17 +109,14 @@ def imported_modules(source: str) -> set[str]:
                if isinstance(node, ast.ImportFrom) and node.level == 0})
 
 
-#: The package modules that may build Fractions: ratpoly, for a polynomial's
-#: a, b, c and exact values, and arms, for a system cluster's b-residues.
-FRACTION_MODULES = {"ratpoly.py", "arms.py"}
-
-
-def test_only_ratpoly_and_arms_import_fractions():
-    """A polynomial is held as its doubled integer key, so no fit, shift, scan
-    or writer needs Fraction arithmetic."""
+def test_only_ratpoly_imports_fractions():
+    """A polynomial is held as its doubled integer key and a system as its int
+    2b, so no fit, shift, scan, classification or writer needs Fraction
+    arithmetic; only ratpoly builds Fractions, for a polynomial's a, b, c and
+    exact values."""
     users = {p.name for p in (ROOT / "src" / "sqspiral").glob("*.py")
              if "fractions" in imported_modules(p.read_text(encoding="utf-8"))}
-    assert users <= FRACTION_MODULES
+    assert users == {"ratpoly.py"}
 
 
 def test_checker_finds_imported_modules():

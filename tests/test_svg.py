@@ -6,19 +6,19 @@ import pytest
 
 from sqspiral.arms import enumerate_arms, members, parse_group
 from sqspiral.series import AnalysisSeries, square_band_ratio_series
-from sqspiral.svg import (DEFAULT_STYLE, GroupStyle, RenderSpec, parse_style,
-                          render_report_figure, render_svg)
+from sqspiral.svg import (DEFAULT_STYLE, MARKER_COLOR, parse_style, render_report_figure,
+                          render_svg)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def test_render_deterministic(table400):
-    spec = RenderSpec(max_n=300, groups=(GroupStyle(parse_group("squares")),))
-    assert render_svg(table400, spec) == render_svg(table400, spec)
+    groups = [(parse_group("squares"), MARKER_COLOR)]
+    assert render_svg(table400, 300, groups) == render_svg(table400, 300, groups)
 
 
 def test_base_triangle_vertices(table400):
-    doc = render_svg(table400, RenderSpec(max_n=3))
+    doc = render_svg(table400, 3)
     poly = re.search(r'<polyline points="([^"]+)"', doc).group(1)
     points = poly.split(" ")
     assert len(points) == 3
@@ -27,14 +27,12 @@ def test_base_triangle_vertices(table400):
 
 
 def test_square_marker_count(table400):
-    spec = RenderSpec(max_n=300, groups=(GroupStyle(parse_group("squares")),))
-    doc = render_svg(table400, spec)
+    doc = render_svg(table400, 300, [(parse_group("squares"), MARKER_COLOR)])
     assert doc.count("<circle") == 17   # squares 1..289
 
 
 def test_markers_sit_on_their_radii(table400):
-    spec = RenderSpec(max_n=300, groups=(GroupStyle(parse_group("squares")),))
-    root = ET.fromstring(render_svg(table400, spec))
+    root = ET.fromstring(render_svg(table400, 300, [(parse_group("squares"), MARKER_COLOR)]))
     assert root.tag == f"{SVG_NS}svg" and "viewBox" in root.attrib
     circles = root.findall(f"{SVG_NS}circle")
     squares = [i * i for i in range(1, 18)]
@@ -45,8 +43,8 @@ def test_markers_sit_on_their_radii(table400):
 
 
 def test_mirror_flips_y(table400):
-    plain = render_svg(table400, RenderSpec(max_n=5))
-    mirrored = render_svg(table400, RenderSpec(max_n=5, mirror=True))
+    plain = render_svg(table400, 5)
+    mirrored = render_svg(table400, 5, mirror=True)
     p1 = re.search(r'<polyline points="([^"]+)"', plain).group(1).split(" ")[1]
     p2 = re.search(r'<polyline points="([^"]+)"', mirrored).group(1).split(" ")[1]
     assert p1.split(",")[0] == p2.split(",")[0]
@@ -55,14 +53,13 @@ def test_mirror_flips_y(table400):
 
 def test_render_range_and_scale_errors(table400):
     with pytest.raises(IndexError):
-        render_svg(table400, RenderSpec(max_n=500))
+        render_svg(table400, 500)
 
 
 def test_arm_overlay(table2000):
     group = parse_group("div:11")
     arms = enumerate_arms(table2000, group, 600)
-    spec = RenderSpec(max_n=600, arm_overlays=tuple(arms.member_tuples([0, 1])))
-    doc = render_svg(table2000, spec)
+    doc = render_svg(table2000, 600, arm_overlays=arms.member_tuples([0, 1]))
     assert doc.count("<polyline") == 3  # boundary + two arms
 
 
@@ -71,21 +68,20 @@ def test_each_drawn_ray_is_placed_once(table400, monkeypatch):
     most one cosine per ray of the boundary plus one per other ray drawn."""
     group = parse_group("squares")
     arms = enumerate_arms(table400, group, 300)
-    spec = RenderSpec(max_n=300, groups=(GroupStyle(group),),
-                      arm_overlays=tuple(arms.member_tuples(range(len(arms)))))
-    drawn = {*members(group, 300), *(n for arm in spec.arm_overlays for n in arm if n <= 300)}
-    assert len(spec.arm_overlays) > 0 and len(drawn) == 17
+    overlays = arms.member_tuples(range(len(arms)))
+    drawn = {*members(group, 300), *(n for arm in overlays for n in arm if n <= 300)}
+    assert len(overlays) > 0 and len(drawn) == 17
     calls, cos = [], math.cos
     monkeypatch.setattr(math, "cos", lambda x: calls.append(x) or cos(x))
-    render_svg(table400, spec)
-    assert len(calls) <= spec.max_n + len(drawn)
+    render_svg(table400, 300, [(group, MARKER_COLOR)], overlays)
+    assert len(calls) <= 300 + len(drawn)
 
 
 @pytest.mark.parametrize("member", [0, -3])
 def test_overlay_member_below_one_raises(table400, member):
     """A ray below 1 is no ray: it must not wrap round to the end of the spiral."""
     with pytest.raises(IndexError):
-        render_svg(table400, RenderSpec(max_n=10, arm_overlays=((4, member, 9),)))
+        render_svg(table400, 10, arm_overlays=[(4, member, 9)])
 
 
 def test_style_parsing():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sqspiral import table as table_mod
-from sqspiral.svg import RenderSpec, render_svg
+from sqspiral.svg import render_svg
 from sqspiral.table import (CHUNK, DEFAULT_CAPACITY, SLAB_MIN, TAIL_START, CapacityError,
                             _blocks, build_table, exact_cum_angles, load_table, save_table,
                             SpiralTable, segment_angle, stream_cum_angles, table_for,
@@ -214,7 +214,7 @@ def test_build_rejects_bad_size_and_capacity():
 def test_ray_coordinates(table400):
     """Rays as the boundary polyline draws them: 6 decimals of SCALE = 20 units
     per unit radius, y flipped on screen, so each coordinate is within 2.5e-8."""
-    doc = render_svg(table400, RenderSpec(max_n=399))
+    doc = render_svg(table400, 399)
     points = re.search(r'<polyline points="([^"]+)"', doc).group(1).split(" ")
     assert points[:2] == ["20.000000,0.000000", "20.000000,-20.000000"]  # (1, 0), (1, 1)
     for n in (1, 2, 17, 18, 100, 399):

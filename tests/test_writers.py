@@ -38,7 +38,7 @@ def old_report_json(report) -> str:
         "arms": [arm_json(a) for a in report.arms],
         "systems": {
             d: [{"D": cl.second_differential, "count": cl.count,
-                 "b_hats": [str(b) for b in cl.b_hats]}
+                 "b_hats": [str(Fraction(b2, 2)) for b2 in cl.b2s]}
                 for cl in report.clusters if cl.direction == d]
             for d in ("N", "P")
         },
@@ -202,17 +202,14 @@ def counted(monkeypatch):
 ])
 def test_writers_build_no_fraction_per_row(argv, rows, counted, tmp_path, monkeypatch,
                                            capsys):
-    """No Fraction or QuadraticPoly per written row: the arm reports build one
-    Fraction per system (its b_hat), the prime reports none."""
+    """No Fraction or QuadraticPoly per written row, nor per system: a
+    system's b-residue is written from its int 2b."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("SQSPIRAL_CACHE", raising=False)
-    systems = sum(cl.count for cl in _report("div:7", 2000).clusters)
-    counted.update(Fraction=0, QuadraticPoly=0)
     assert main(argv.split()) == EXIT_OK
     out = capsys.readouterr().out
     if argv.startswith("arms"):
         assert out.count('"members"' if "json" in argv else "\n") > rows
     else:
         assert out.count("\n") > rows
-        systems = 0
-    assert counted == {"Fraction": systems, "QuadraticPoly": 0}
+    assert counted == {"Fraction": 0, "QuadraticPoly": 0}
