@@ -86,8 +86,10 @@ def winding_distance_table(table: SpiralTable, probes=None) -> WindingRows:
         raise IndexError(f"probes outside table range 1..{table.max_n + 1}")
     cum = table.cum_angle
     n = n[cum[n - 1] + TAU <= cum[-1]]
-    m = table.nearest_rays(cum[n - 1] + TAU)
-    return WindingRows(n, m, np.sqrt(m) - np.sqrt(n), (1 + cum[m - 1] // TAU).astype(np.int64))
+    start = cum[n - 1]
+    m = table.nearest_rays(start + TAU)
+    end = cum[m - 1]
+    return WindingRows(n, m, np.sqrt(m) - np.sqrt(n), (1 + end // TAU).astype(np.int64))
 
 
 def winding_averages(rows: WindingRows, fold_at: int | None = None) -> dict[int, float]:

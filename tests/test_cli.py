@@ -221,12 +221,6 @@ def test_sizes_past_the_table_budget_are_usage_errors(tmp_path, capsys, monkeypa
     assert main(argv.split()) == EXIT_USAGE
 
 
-def test_sieve_past_its_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, "primes", "--scan-d", "100000", "--t", "100000")
-    assert code == EXIT_USAGE and out == "" and "exceeds budget" in err
-
-
 def test_prime_report_below_two_is_empty(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, "primes", "--report", "--n", "1")
