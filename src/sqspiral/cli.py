@@ -147,7 +147,7 @@ def cmd_arms(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def _emit_series(series, args, cfg: Config, companions=()) -> None:
+def _write_series(series, args, cfg: Config, companions=()) -> None:
     """CSV of `series` or, in json format, its summary and its companions'."""
     fmt = args.format or cfg.output
     if fmt == "json":
@@ -187,7 +187,7 @@ def cmd_areas(args, cfg: Config) -> int:
                "notes": report.notes()}
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
-    _emit_series(series, args, cfg)
+    _write_series(series, args, cfg)
     return EXIT_OK
 
 
@@ -195,10 +195,10 @@ def cmd_fib(args, cfg: Config) -> int:
     if args.angles:
         top = fibonacci_numbers(args.count + 1)[-1]
         fib = fib_angle_series(_table_for(cfg, top), args.count)
-        _emit_series(fib.alphas_deg, args, cfg,
+        _write_series(fib.alphas_deg, args, cfg,
                      companions=(fib.step_ratios, fib.cumulative_ratios))
     else:
-        _emit_series(fib_area_ratio_series(args.count), args, cfg)
+        _write_series(fib_area_ratio_series(args.count), args, cfg)
     return EXIT_OK
 
 
