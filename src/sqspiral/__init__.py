@@ -12,9 +12,8 @@ from .table import (SpiralTable, CapacityError, build_table, load_table, save_ta
 from .constants import (ConstantsReport, WindingRows, archimedean_radius, c2_estimate,
                         c2_extrapolate, constants_report, winding_averages, winding_distance_table)
 from .ratpoly import QuadraticPoly, SpiralAngle, limit_spiral_angle, newton_quadratic
-from .arms import (Arm, Arms, NumberGroup, SystemCluster, SystemReport,
-                   classify_systems, enumerate_arms, members,
-                   parse_group, trace_arm, verify_rule_5_2)
+from .arms import (Arm, Arms, NumberGroup, SystemReport, classify_systems,
+                   enumerate_arms, members, parse_group, trace_arm, verify_rule_5_2)
 from .series import (AnalysisSeries, CrossingsReport, FibAngles,
                      axis_crossings, fib_angle_series,
                      fib_angle_series_streaming, fib_area_ratio_series,

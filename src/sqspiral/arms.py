@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import groupby
 
 import numpy as np
 
@@ -94,7 +95,7 @@ DIRECTIONS = ("N", "P", "indeterminate")
 @dataclass(frozen=True)
 class Arm:
     """A maximal traced arm, as a record of its fields: what a row of an `Arms`
-    table reads as, and what `pack_arms` packs into one."""
+    table reads as."""
 
     members: tuple
     poly: QuadraticPoly           # canonical: b in [0, 2a); poly(start_t + i) == members[i]
@@ -153,21 +154,6 @@ class Arms(Sequence):
     def member_tuples(self, rows) -> list[tuple]:
         """The members of the arms at `rows`, one tuple each, in that order."""
         return list(map(tuple, _span_values(self.mem, *self.cols[5:7, rows], np.ndarray.tolist)))
-
-
-def pack_arms(arms) -> Arms:
-    """`arms` as one table: itself if it is an Arms, else a table of its arms in order."""
-    if isinstance(arms, Arms):
-        return arms
-    arms = list(arms)
-    heads = [(*arm.poly, arm.start_t, DIRECTIONS.index(arm.direction))
-             for arm in arms]
-    members, drifts = [arm.members for arm in arms], [arm.drifts for arm in arms]
-    m, d = (np.cumsum([0] + [len(x) for x in lists]) for lists in (members, drifts))
-    cols = np.vstack([np.array(heads, dtype=np.int64).reshape(-1, 5).T, m[:-1], m[1:],
-                      d[:-1], d[1:]])
-    return Arms(cols, np.fromiter(chain.from_iterable(members), np.int64, m[-1]),
-                np.fromiter(chain.from_iterable(drifts), float, d[-1]))
 
 
 def in_window(advance):
@@ -376,10 +362,9 @@ def traced_arms(table: SpiralTable, mem, max_n: int, density: float = 1.0,
     return _trace_blocks(table, mem, max_n, seeds, density, longest)
 
 
-def arm_columns(arms, bitmap: np.ndarray):
+def arm_columns(arms: Arms, bitmap: np.ndarray):
     """The arms as int64 columns: D, 2b, 2c, the length, and the count of
     members that `bitmap` marks (from one prefix sum over the flat members)."""
-    arms = pack_arms(arms)
     dd, b2, c2, _, _, lo, hi = arms.cols[:7]
     hits = np.r_[0, np.cumsum(bitmap[arms.mem], dtype=np.int64)]
     return dd, b2, c2, hi - lo, hits[hi] - hits[lo]
@@ -392,64 +377,38 @@ def enumerate_arms(table: SpiralTable, group: NumberGroup, max_n: int) -> Arms:
 
 
 @dataclass(frozen=True)
-class SystemCluster:
-    """Systems of one rotation direction sharing one second differential."""
-
-    direction: str
-    second_differential: int
-    b2s: tuple                    # sorted distinct ints 2b of the b-residues (the systems)
-
-    @property
-    def count(self) -> int:
-        return len(self.b2s)
-
-
-@dataclass(frozen=True)
 class SystemReport:
     group: NumberGroup
     max_n: int
     arms: Arms
-    clusters: tuple               # SystemCluster, sorted by (direction, D)
-
-    def cluster(self, direction: str, second_differential: int):
-        return next((cl for cl in self.clusters if (cl.direction, cl.second_differential)
-                     == (direction, second_differential)), None)
-
-    def directions_mixed(self) -> dict[str, bool]:
-        """Direction -> True when more than one second differential occurs."""
-        seen: dict[str, set] = {}
-        for cl in self.clusters:
-            seen.setdefault(cl.direction, set()).add(cl.second_differential)
-        return {d: len(s) > 1 for d, s in seen.items()}
+    systems: dict                 # (direction, D) -> sorted distinct ints 2b, one per system
 
 
-def classify_systems(arms, group: NumberGroup, max_n: int) -> SystemReport:
+def classify_systems(arms: Arms, group: NumberGroup, max_n: int) -> SystemReport:
     """Group arms into systems keyed by (direction, a, b mod 2a): on the
     integers (direction code, D, 2b), as canonical b is a half-integer."""
-    arms = pack_arms(arms)
     dd, b2, _, _, code = arms.cols[:5]
     key = np.stack([code, dd, b2])[:, np.lexsort((b2, dd, code))]
-    systems = key[:, _firsts(key)].T.tolist()
-    clusters = [SystemCluster(direction=DIRECTIONS[code], second_differential=dd,
-                              b2s=tuple(b2 for *_, b2 in rows))
-                for (code, dd), rows in groupby(systems, key=lambda s: s[:2])]
-    return SystemReport(group=group, max_n=max_n, arms=arms, clusters=tuple(clusters))
+    systems = {(DIRECTIONS[code], dd): tuple(b2 for *_, b2 in rows)
+               for (code, dd), rows in groupby(key[:, _firsts(key)].T.tolist(),
+                                               key=lambda s: s[:2])}
+    return SystemReport(group=group, max_n=max_n, arms=arms, systems=systems)
 
 
-def find_arms(arms, keys) -> list:
+def find_arms(arms: Arms, keys) -> list:
     """Per canonical (D, 2b, 2c) tuple of `keys`, the arm with it among `arms`
     in canonical (a, b, c) order, as `enumerate_arms` returns them, or None;
     one search of the (D, 2b, 2c) rows as records, which compare field by field."""
-    arms, key = pack_arms(arms), np.dtype([("D", "i8"), ("b2", "i8"), ("c2", "i8")])
+    key = np.dtype([("D", "i8"), ("b2", "i8"), ("c2", "i8")])
     rows = np.ascontiguousarray(arms.cols[:3].T).view(key).ravel()
     at = np.searchsorted(rows, np.array(keys, dtype=key)).tolist()
     return [arms[i] if i < len(rows) and rows[i].item() == k else None for i, k in zip(at, keys)]
 
 
-def b_hat_lattice_ok(cluster: SystemCluster, p: int) -> bool:
+def b_hat_lattice_ok(b2s, dd: int, p: int) -> bool:
     """b-residues form an arithmetic progression of step p filling [0, 2a):
-    on the ints 2b, D / p of them, the first below 2p, each step 2p."""
-    b2s, dd = cluster.b2s, cluster.second_differential
+    on the ints 2b of second differential dd, dd / p of them, the first
+    below 2p, each step 2p."""
     return (dd % p == 0 and len(b2s) == dd // p and b2s[0] < 2 * p
             and all(hi - lo == 2 * p for lo, hi in zip(b2s, b2s[1:])))
 
@@ -459,8 +418,9 @@ def verify_rule_5_2(report: SystemReport):
     p = report.group.divisor
     if p is None:
         return None
-    return {d: {cl.second_differential: p * cl.count == cl.second_differential
-                for cl in report.clusters if cl.direction == d} for d in ("N", "P")}
+    return {d: {dd: p * len(b2s) == dd
+                for (direction, dd), b2s in report.systems.items() if direction == d}
+            for d in ("N", "P")}
 
 
 #: Arms per block when an arm report is written.
@@ -476,12 +436,11 @@ def _json_list(cells) -> str:
     return "[\n        " + ",\n        ".join(cells) + "\n      ]" if cells else "[]"
 
 
-def _arm_blocks(arms, drifts: bool):
+def _arm_blocks(arms: Arms, drifts: bool):
     """The arms in blocks of at most REPORT_BLOCK arms, as columns: D, then
     a, b_hat and c as text, start_t, direction, and per arm the list of its
     members as str and, with `drifts`, (that, the list of its drifts as JSON:
     repr(round(d, 9)), since drifts are finite)."""
-    arms = pack_arms(arms)
     for i in range(0, len(arms), REPORT_BLOCK):
         dd, b2, c2, start_t, code, lo, hi, d_lo, d_hi = arms.cols[:, i:i + REPORT_BLOCK]
         cells = _span_values(arms.mem, lo, hi, lambda v: list(map(str, v.tolist())))
@@ -501,12 +460,11 @@ def report_json_blocks(report: SystemReport):
         "group": str(report.group),
         "max_n": report.max_n,
         "systems": {
-            d: [{"D": cl.second_differential, "count": cl.count,
-                 "b_hats": half_strs(cl.b2s)}
-                for cl in report.clusters if cl.direction == d]
+            d: [{"D": dd, "count": len(b2s), "b_hats": half_strs(b2s)}
+                for (direction, dd), b2s in report.systems.items() if direction == d]
             for d in ("N", "P")
         },
-        "mixed_d": report.directions_mixed(),
+        "mixed_d": {d: n > 1 for d, n in Counter(d for d, _ in report.systems).items()},
         "rule_5_2": (None if rule is None else
                      {d: {str(dd): ok for dd, ok in sorted(per.items())}
                       for d, per in rule.items()}),

@@ -72,16 +72,14 @@ def _probe_array(probes) -> np.ndarray:
     return np.fromiter(probes, dtype=np.int64)
 
 
-def winding_distance_table(table: SpiralTable, probes=None) -> WindingRows:
+def winding_distance_table(table: SpiralTable, probes) -> WindingRows:
     """Winding-distance rows sqrt(m) - sqrt(n) for each probe ray n.
 
     Ray m > n is the ray nearest angle_of(n) + 2*pi (the first of a tie), for
-    all probes at once.  Default probes are all n >= 1; probes whose target
-    lies past the table end are skipped.  Distances tend to pi as the winding
-    grows.
+    all probes at once; probes whose target lies past the table end are
+    skipped.  Distances tend to pi as the winding grows.
     """
-    n = (np.arange(1, table.max_n + 1, dtype=np.int64) if probes is None
-         else _probe_array(probes))
+    n = _probe_array(probes)
     if n.size and not (1 <= n.min() and n.max() <= table.max_n + 1):
         raise IndexError(f"probes outside table range 1..{table.max_n + 1}")
     cum = table.cum_angle
@@ -145,11 +143,8 @@ class ConstantsReport:
 def constants_report(table: SpiralTable, probes) -> ConstantsReport:
     """Take the per-winding means block by block, raising IndexError for a
     probe outside the table before any row is written; the report's CSV then
-    recomputes each block as it writes it.  probes=None means every n >= 1,
-    as in winding_distance_table."""
-    if probes is None:
-        probes = range(1, table.max_n + 1)
-    elif not isinstance(probes, range):
+    recomputes each block as it writes it."""
+    if not isinstance(probes, range):
         probes = _probe_array(probes)
     sums, counts = np.zeros(0), np.zeros(0, dtype=np.int64)
     for n in _probe_blocks(probes):

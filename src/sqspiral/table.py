@@ -195,14 +195,20 @@ def stream_cum_angles(ks) -> dict[int, float]:
 
 
 def save_table(table: SpiralTable, path: str) -> None:
-    """Persist a table: b"SQSP", version 0x01, u64-LE max_n, float64-LE angles."""
+    """Persist a table: b"SQSP", version 0x01, u64-LE max_n, float64-LE angles.
+    Written to `<path>.tmp` and renamed; the temp file is removed on failure."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(bytes([CACHE_VERSION]))
-        fh.write(struct.pack("<Q", table.max_n))
-        fh.write(table.cum_angle.astype("<f8", copy=False).tobytes())
-    os.replace(tmp, path)
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(CACHE_MAGIC)
+            fh.write(bytes([CACHE_VERSION]))
+            fh.write(struct.pack("<Q", table.max_n))
+            fh.write(table.cum_angle.astype("<f8", copy=False).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_table(path: str, max_n: int) -> SpiralTable:
@@ -216,7 +222,10 @@ def load_table(path: str, max_n: int) -> SpiralTable:
         version = fh.read(1)
         if version != bytes([CACHE_VERSION]):
             raise ValueError(f"{path}: unsupported cache version {version!r}")
-        (stored_n,) = struct.unpack("<Q", fh.read(8))
+        head = fh.read(8)
+        if len(head) != 8:
+            raise ValueError(f"{path}: header cut short ({len(head)} of 8 max_n bytes)")
+        (stored_n,) = struct.unpack("<Q", head)
         size = os.fstat(fh.fileno()).st_size
         if stored_n < 1 or size != 13 + 8 * (stored_n + 1):
             raise ValueError(f"{path}: header max_n={stored_n} does not match "

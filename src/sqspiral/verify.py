@@ -231,12 +231,10 @@ def suite_table2() -> list[Check]:
             out.append(_flag(f"table2.{spec}.{name}", ok,
                              f"dir={arm.direction} len={len(mem)}",
                              f"dir={want_dir} contains {reachable}", note))
-    report17 = reports["div:17"]
+    systems17 = reports["div:17"].systems
     for direction in ("N", "P"):
-        cl = report17.cluster(direction, 17)
-        out.append(_flag(f"table2.div17_single_{direction}_family",
-                         cl is not None and cl.count == 1,
-                         0 if cl is None else cl.count, 1,
+        got = len(systems17.get((direction, 17), ()))
+        out.append(_flag(f"table2.div17_single_{direction}_family", got == 1, got, 1,
                          "families with the published second differential"))
     return out
 
@@ -291,24 +289,20 @@ def suite_rule52() -> list[Check]:
         ok = True
         counts = []
         for d in directions:
-            cl = report.cluster(d, dd)
-            got = 0 if cl is None else cl.count
-            counts.append(got)
-            ok &= got == count and p * got == dd
-            ok &= cl is not None and b_hat_lattice_ok(cl, p)
+            b2s = report.systems.get((d, dd), ())
+            counts.append(len(b2s))
+            ok &= len(b2s) == count and b_hat_lattice_ok(b2s, dd, p)
         label = "N or P" if directions == "NP" else directions
         out.append(_flag(f"rule52.{p}x{count}_{label}", ok,
                          f"{p} x {'/'.join(map(str, counts))} (lattice ok: {ok})",
                          f"{p} x {count} = {dd}"))
-    report = reports["squares"]
+    systems = reports["squares"].systems
     d, count, dd = pub.SQUARES_SYSTEMS
-    cl = report.cluster(d, dd)
-    out.append(_flag("rule52.squares_positive_systems",
-                     cl is not None and cl.count == count,
-                     0 if cl is None else cl.count, count,
+    got = len(systems.get((d, dd), ()))
+    out.append(_flag("rule52.squares_positive_systems", got == count, got, count,
                      "Q1-Q3; second differential 18"))
     out.append(_flag("rule52.squares_no_negative_systems",
-                     report.cluster("N", dd) is None, "absent", "absent",
+                     ("N", dd) not in systems, "absent", "absent",
                      "no N family shares the square-number differential"))
     return out
 

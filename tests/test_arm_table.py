@@ -18,11 +18,13 @@ import pytest
 
 from sqspiral import verify
 from sqspiral.arms import (Arm, Arms, classify_systems, enumerate_arms, members,
-                           pack_arms, parse_group, traced_arms)
+                           parse_group, traced_arms)
 from sqspiral.primes import PRIME_DENSITY
 from sqspiral.ratpoly import QuadraticPoly
 from sqspiral.table import table_for
 from sqspiral.verify import _cached_arm_reports
+
+from arm_packing import pack_arms
 
 
 def old_clusters(arms) -> list:
@@ -34,8 +36,8 @@ def old_clusters(arms) -> list:
 
 def clusters(report) -> list:
     """(direction, D, b_hats) per cluster, its b-residues read from its ints 2b."""
-    return [(cl.direction, cl.second_differential, tuple(Fraction(b2, 2) for b2 in cl.b2s))
-            for cl in report.clusters]
+    return [(direction, dd, tuple(Fraction(b2, 2) for b2 in b2s))
+            for (direction, dd), b2s in report.systems.items()]
 
 
 def _mixed(table):
@@ -129,11 +131,11 @@ def test_classify_on_columns_matches_the_arm_by_arm_bucketing(table2000):
     for spec, report in _cached_arm_reports().items():
         assert clusters(report) == old_clusters(report.arms), spec
     arms = _mixed(table2000)
-    report = classify_systems(arms, parse_group("div:7"), 2000)
+    report = classify_systems(pack_arms(arms), parse_group("div:7"), 2000)
     assert report.arms == arms
     assert clusters(report) == old_clusters(arms)
     assert clusters(report)[-1] == ("indeterminate", 1, (Fraction(5, 2),))
-    assert {cl.direction for cl in report.clusters} == {"N", "P", "indeterminate"}
+    assert {direction for direction, _ in report.systems} == {"N", "P", "indeterminate"}
 
 
 def test_verify_arm_suites_build_views_only_where_read():

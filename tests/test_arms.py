@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from sqspiral import arms as arms_mod, verify
 from sqspiral.arms import (DIRECTIONS, MIN_ARM_LEN, SEED_BLOCK, WINDOW_HI, WINDOW_LO, Arm,
-                           NumberGroup, SystemCluster, _walk,
+                           NumberGroup, _walk,
                            arm_columns, traced_arms,
                            b_hat_lattice_ok, canonical_keys, direction_codes,
                            enumerate_arms, find_arms, in_window, members,
@@ -22,6 +23,7 @@ from sqspiral.table import TAU, SpiralTable, table_for, wrap_signed
 from sqspiral.verify import _cached_arm_reports
 
 import window_oracles as oracle
+from arm_packing import pack_arms
 
 
 def test_parse_group():
@@ -169,13 +171,14 @@ def test_arm_columns_reads_each_walk(table2000):
     arms = walk7[:3] + walk11[:6:2] + [hand] + walk7[10:12] + walk11[-1:]
     bitmap = np.zeros(2001, dtype=bool)
     bitmap[::11] = bitmap[5] = True
-    dd, b2, c2, size, marked = arm_columns(arms, bitmap)
+    dd, b2, c2, size, marked = arm_columns(pack_arms(arms), bitmap)
     assert [(d, b, c) for d, b, c in zip(dd.tolist(), b2.tolist(), c2.tolist())] == \
         [tuple(arm.poly) for arm in arms]
     assert size.tolist() == [len(arm.members) for arm in arms]
     assert marked.tolist() == [sum(bitmap[m] for m in arm.members) for arm in arms]
     assert marked[3:6].tolist() == size[3:6].tolist() and marked[6] == 1
-    assert all(col.dtype == np.int64 and col.size == 0 for col in arm_columns([], bitmap))
+    assert all(col.dtype == np.int64 and col.size == 0
+               for col in arm_columns(pack_arms([]), bitmap))
 
 
 def test_find_arm_by_canonical_polynomial():
@@ -191,7 +194,7 @@ def test_find_arm_by_canonical_polynomial():
     assert found[0] is None
     assert found[2] is None
     assert found[3] is None
-    assert find_arms([], [canon]) == [None]
+    assert find_arms(pack_arms([]), [canon]) == [None]
     assert find_arms(arms, []) == []
 
 
@@ -324,26 +327,26 @@ def test_enumerate_deterministic_order(table2000):
     assert len(set(keys)) == len(keys)
 
 
-def b_hats(cluster) -> tuple:
-    """A cluster's b-residues as Fractions, from its ints 2b."""
-    return tuple(Fr(b2, 2) for b2 in cluster.b2s)
+def b_hats(b2s) -> tuple:
+    """A system family's b-residues as Fractions, from its ints 2b."""
+    return tuple(Fr(b2, 2) for b2 in b2s)
 
 
 def test_classify_known_groups():
     reports = _cached_arm_reports()
-    r11 = reports["div:11"]
-    assert r11.cluster("N", 22).count == 2
-    assert b_hats(r11.cluster("N", 22)) == (Fr(0), Fr(11))
-    assert r11.cluster("P", 22).count == 2
-    r13 = reports["div:13"]
-    assert r13.cluster("N", 26).count == 2
-    assert r13.cluster("P", 13).count == 1
-    assert b_hats(r13.cluster("P", 13)) == (Fr(13, 2),)
-    mixed = r13.directions_mixed()
-    assert mixed["N"] and mixed["P"]
-    r3 = reports["div:3"]
-    assert b_hats(r3.cluster("N", 21)) == tuple(Fr(k, 2) for k in range(3, 42, 6))
-    assert b_hats(r3.cluster("P", 18)) == tuple(Fr(k) for k in range(0, 18, 3))
+    r11 = reports["div:11"].systems
+    assert len(r11["N", 22]) == 2
+    assert b_hats(r11["N", 22]) == (Fr(0), Fr(11))
+    assert len(r11["P", 22]) == 2
+    r13 = reports["div:13"].systems
+    assert len(r13["N", 26]) == 2
+    assert len(r13["P", 13]) == 1
+    assert b_hats(r13["P", 13]) == (Fr(13, 2),)
+    mixed = Counter(d for d, _ in r13)     # second differentials per direction
+    assert mixed["N"] > 1 and mixed["P"] > 1
+    r3 = reports["div:3"].systems
+    assert b_hats(r3["N", 21]) == tuple(Fr(k, 2) for k in range(3, 42, 6))
+    assert b_hats(r3["P", 18]) == tuple(Fr(k) for k in range(0, 18, 3))
 
 
 def test_rule_5_2():
@@ -353,7 +356,7 @@ def test_rule_5_2():
         rule = verify_rule_5_2(reports[f"div:{p}"])
         for direction, dd in dd_by_dir.items():
             assert rule[direction][dd] is True
-            assert b_hat_lattice_ok(reports[f"div:{p}"].cluster(direction, dd), p)
+            assert b_hat_lattice_ok(reports[f"div:{p}"].systems[direction, dd], dd, p)
     assert verify_rule_5_2(reports["squares"]) is None
 
 
@@ -378,8 +381,7 @@ def test_b_hat_lattice_ok_on_ints_matches_the_fraction_rule(p, dd, at, shift, dr
     for b2s in (lattice, moved, lattice[1:], drawn):
         b2s = sorted(set(b2s))
         if b2s:
-            cluster = SystemCluster(direction="N", second_differential=dd, b2s=tuple(b2s))
-            assert b_hat_lattice_ok(cluster, p) == old_lattice_ok(
+            assert b_hat_lattice_ok(tuple(b2s), dd, p) == old_lattice_ok(
                 dd, [Fr(b2, 2) for b2 in b2s], p), (p, dd, b2s)
 
 
@@ -387,8 +389,7 @@ def test_b_hat_lattice_ok_on_ints():
     ok = [((7, 21, 35), 21, 7), ((0, 22), 22, 11), ((13,), 13, 13)]
     bad = [((7, 21), 21, 7), ((7, 21, 37), 21, 7), ((21, 35, 49), 21, 7), ((1, 3), 5, 2)]
     for b2s, dd, p in ok + bad:
-        cluster = SystemCluster(direction="P", second_differential=dd, b2s=b2s)
-        assert b_hat_lattice_ok(cluster, p) == ((b2s, dd, p) in ok)
+        assert b_hat_lattice_ok(b2s, dd, p) == ((b2s, dd, p) in ok)
 
 
 def test_rule52_rows_are_the_printed_lines():

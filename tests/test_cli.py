@@ -38,6 +38,17 @@ def test_build_unwritable_path(tmp_path, capsys, monkeypatch):
     assert code == EXIT_IO and "i/o error" in err
 
 
+def test_build_onto_a_directory_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    """The rename onto a directory fails after the temp file is written: the
+    temp file is removed and the failure is one i/o error line."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    code, out, err = run(capsys, "build", "--n", "1000", "--cache", "d")
+    assert (code, out) == (EXIT_IO, "")
+    assert err.startswith("i/o error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"]
+
+
 def test_verify_suite_passes(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "verify", "table1")
@@ -238,8 +249,12 @@ def _corrupt_header(data: bytes) -> bytes:
     return data[:5] + b"\xff" * 8 + data[13:]
 
 
-@pytest.mark.parametrize("corrupt", [_corrupt_nan, _corrupt_header],
-                         ids=["nan_angles", "max_n_2_64_minus_1"])
+def _cut_in_header(data: bytes) -> bytes:
+    return data[:7]                        # magic, version, 2 of max_n's 8 bytes
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_nan, _corrupt_header, _cut_in_header],
+                         ids=["nan_angles", "max_n_2_64_minus_1", "cut_in_header"])
 def test_bad_cache_is_ignored(tmp_path, capsys, monkeypatch, corrupt):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("SQSPIRAL_CACHE", raising=False)

@@ -8,9 +8,11 @@ The package's `__init__.py` imports to re-export, so it is exempt from the
 unused-import check, but each name it re-exports must be read somewhere
 else: in the package outside its own definition, in `scripts/` or in `bench/`.
 A fresh process running `verify all` imports no `numpy.ma` and keeps no
-shared table past 10^5 entries.
+shared table past 10^5 entries.  Every script loads under a name other than
+`__main__`, which runs its imports and not its `main()`.
 """
 import ast
+import importlib.util
 import json
 import os
 import pathlib
@@ -23,6 +25,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "sqspiral").glob("*.py")) + sorted(
     (ROOT / "scripts").glob("*.py"))
 MODULES = [p for p in SOURCES if p.parent.name == "sqspiral" and p.name != "__init__.py"]
+SCRIPTS = [p for p in SOURCES if p.parent.name == "scripts"]
 
 
 def _private(name: str) -> bool:
@@ -57,6 +60,26 @@ def private_imports(source: str) -> list[str]:
             if isinstance(root, ast.Name) and root.id in modules:
                 bad.append(f"{ast.unparse(node.value)}.{node.attr}")
     return bad
+
+
+def load_script(path: pathlib.Path):
+    """The script at `path` loaded as the module `script_<stem>`."""
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_every_script_imports(path):
+    assert callable(load_script(path).main)
+
+
+def test_script_loader_catches_a_removed_name(tmp_path):
+    script = tmp_path / "stale.py"
+    script.write_text("from sqspiral.arms import pack_arms\n", encoding="utf-8")
+    with pytest.raises(ImportError, match="pack_arms"):
+        load_script(script)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -22,6 +22,8 @@ from sqspiral.ratpoly import QuadraticPoly
 from sqspiral.table import table_for
 from sqspiral.verify import _cached_arm_reports
 
+from arm_packing import pack_arms
+
 
 def old_report_json(report) -> str:
     def arm_json(arm):
@@ -31,18 +33,19 @@ def old_report_json(report) -> str:
                 "start_t": arm.start_t, "direction": arm.direction,
                 "drifts": [round(d, 9) for d in arm.drifts]}
 
-    rule = verify_rule_5_2(report)
+    rule, seen = verify_rule_5_2(report), {}
+    for direction, dd in report.systems:
+        seen.setdefault(direction, set()).add(dd)
     doc = {
         "group": str(report.group),
         "max_n": report.max_n,
         "arms": [arm_json(a) for a in report.arms],
         "systems": {
-            d: [{"D": cl.second_differential, "count": cl.count,
-                 "b_hats": [str(Fraction(b2, 2)) for b2 in cl.b2s]}
-                for cl in report.clusters if cl.direction == d]
+            d: [{"D": dd, "count": len(b2s), "b_hats": [str(Fraction(b2, 2)) for b2 in b2s]}
+                for (direction, dd), b2s in report.systems.items() if direction == d]
             for d in ("N", "P")
         },
-        "mixed_d": report.directions_mixed(),
+        "mixed_d": {direction: len(dds) > 1 for direction, dds in seen.items()},
         "rule_5_2": (None if rule is None else
                      {d: {str(dd): ok for dd, ok in sorted(per.items())}
                       for d, per in rule.items()}),
@@ -121,7 +124,7 @@ _drift = st.one_of(
 @settings(max_examples=300, deadline=None)
 def test_drifts_are_written_as_json_writes_them(drifts):
     arm = Arm([5, 9, 14], QuadraticPoly(1, 5, 4), 1, drifts, "N")
-    report = classify_systems([arm], parse_group("div:7"), 1000)
+    report = classify_systems(pack_arms([arm]), parse_group("div:7"), 1000)
     assert report_json(report) == old_report_json(report)
 
 
@@ -143,7 +146,7 @@ def _arms(draw):
 @given(_arms(), st.sampled_from(["div:7", "squares", "list:3,5"]))
 @settings(max_examples=150, deadline=None)
 def test_arm_writers_on_drawn_arms(arms, spec):
-    report = classify_systems(arms, parse_group(spec), 1000)
+    report = classify_systems(pack_arms(arms), parse_group(spec), 1000)
     assert (spec == "div:7") == (verify_rule_5_2(report) is not None)
     assert report_json(report) == old_report_json(report)
     assert report_csv(report) == old_report_csv(report)
@@ -153,7 +156,7 @@ def test_arms_of_two_walks_in_one_report(table2000):
     group = parse_group("div:7")
     arms = (enumerate_arms(table2000, group, 1200)[:50]
             + enumerate_arms(table2000, group, 2000)[7:3000:2])
-    report = classify_systems(arms, group, 2000)
+    report = classify_systems(pack_arms(arms), group, 2000)
     assert report_json(report) == old_report_json(report)
     assert report_csv(report) == old_report_csv(report)
 
