@@ -22,4 +22,4 @@ from .series import (AnalysisSeries, CrossingsReport, FibAngles,
 from .primes import (PolyDensityRow, PrimalityTable, PrimeArm, coprime6_check,
                      prime_arm_report, scan_prime_polys, sieve)
 from .svg import parse_style, render_report_figure, render_svg
-from .config import Config, load_config, parse_config
+from .config import load_config, parse_config

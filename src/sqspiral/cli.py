@@ -15,7 +15,7 @@ from . import __version__
 from . import arms as arms_mod
 from . import primes as primes_mod
 from . import verify as verify_mod
-from .config import Config, load_config
+from .config import load_config
 from .constants import c2_estimate, constants_report
 from .series import (axis_crossings, fib_angle_series, fib_area_ratio_series,
                      fibonacci_numbers, same_arm_angle_series,
@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_IO = 2
 EXIT_USAGE = 64
+DEFAULT_N = 1000  # --n of arms, primes --report and render
 
 
 class UsageError(Exception):
@@ -51,20 +52,21 @@ def _build_parser() -> _Parser:
     """The parser, built on the first call and reused by every later `main`."""
     parser = _Parser(prog="sqspiral", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--config", help="config file (default ./spiral.conf)")
+    parser.add_argument("--config",
+                        help="file of the cache_path key (default ./spiral.conf)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build and cache the angle table")
     p.add_argument("--n", type=positive_int, required=True)
-    p.add_argument("--cache", help="cache file path (overrides config/env)")
+    p.add_argument("--cache", help="cache file path (overrides SQSPIRAL_CACHE and the config)")
 
     p = sub.add_parser("verify", help="run a reproduction suite")
     p.add_argument("suite", choices=list(verify_mod.SUITES) + ["all"])
 
     p = sub.add_parser("arms", help="trace spiral arms for a number group")
     p.add_argument("--group", required=True)
-    p.add_argument("--n", type=positive_int, default=None)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--n", type=positive_int, default=DEFAULT_N)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("areas", help="area and angle series reports")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -83,7 +85,7 @@ def _build_parser() -> _Parser:
     mode.add_argument("--angles", action="store_true")
     mode.add_argument("--areas", action="store_true")
     p.add_argument("--count", type=positive_int, default=6)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--figure", metavar="SVG_PATH",
                    help="also write the series as a chart")
 
@@ -94,10 +96,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=positive_int, default=100)
     p.add_argument("--c-min", type=int, default=-10)
     p.add_argument("--c-max", type=int, default=20)
-    p.add_argument("--n", type=positive_int, default=None)
+    p.add_argument("--n", type=positive_int, default=DEFAULT_N)
 
     p = sub.add_parser("render", help="deterministic SVG of the spiral")
-    p.add_argument("--n", type=positive_int, default=None)
+    p.add_argument("--n", type=positive_int, default=DEFAULT_N)
     p.add_argument("--group", action="append", default=[])
     p.add_argument("--arms", action="store_true",
                    help="overlay traced arms of the listed groups")
@@ -107,17 +109,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _table_for(cfg: Config, max_n: int):
-    if cfg.cache_path:
+def _table_for(cache: str | None, max_n: int):
+    if cache:
         try:
-            return load_table(cfg.cache_path, max_n)
+            return load_table(cache, max_n)
         except (OSError, ValueError):
             pass
     return build_table(max_n)
 
 
-def cmd_build(args, cfg: Config) -> int:
-    path = args.cache or cfg.cache_path
+def cmd_build(args, cache: str | None) -> int:
+    path = args.cache or cache
     table = build_table(args.n)
     if path:
         save_table(table, path)
@@ -129,28 +131,25 @@ def cmd_build(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: Config) -> int:
+def cmd_verify(args, cache: str | None) -> int:
     checks = verify_mod.run_suite(args.suite)
     sys.stdout.write(verify_mod.render_report(checks))
     return EXIT_OK if all(c.ok for c in checks) else EXIT_VERIFY
 
 
-def cmd_arms(args, cfg: Config) -> int:
+def cmd_arms(args, cache: str | None) -> int:
     group = arms_mod.parse_group(args.group)
-    max_n = args.n or cfg.max_n
-    table = _table_for(cfg, max_n)
-    found = arms_mod.enumerate_arms(table, group, max_n)
-    report = arms_mod.classify_systems(found, group, max_n)
-    fmt = args.format or cfg.output
-    blocks = arms_mod.report_json_blocks if fmt == "json" else arms_mod.report_csv_blocks
+    table = _table_for(cache, args.n)
+    found = arms_mod.enumerate_arms(table, group, args.n)
+    report = arms_mod.classify_systems(found, group, args.n)
+    blocks = arms_mod.report_json_blocks if args.format == "json" else arms_mod.report_csv_blocks
     sys.stdout.writelines(blocks(report))
     return EXIT_OK
 
 
-def _write_series(series, args, cfg: Config, companions=()) -> None:
-    """CSV of `series` or, in json format, its summary and its companions'."""
-    fmt = args.format or cfg.output
-    if fmt == "json":
+def _write_series(series, args, companions=()) -> None:
+    """CSV of `series` or, with --format json, its summary and its companions'."""
+    if args.format == "json":
         for s in (series, *companions):
             sys.stdout.write(s.summary_json())
     else:
@@ -160,7 +159,7 @@ def _write_series(series, args, cfg: Config, companions=()) -> None:
             fh.write(render_report_figure(series))
 
 
-def cmd_areas(args, cfg: Config) -> int:
+def cmd_areas(args, cache: str | None) -> int:
     if args.winding_distances is not None and (args.format == "json" or args.figure):
         raise ValueError("--winding-distances writes CSV only: no --format json, no --figure")
     if args.crossings is not None and (args.format == "csv" or args.figure):
@@ -168,18 +167,18 @@ def cmd_areas(args, cfg: Config) -> int:
     if args.bands is not None:
         series = square_band_ratio_series(args.bands)
     elif args.square_angles is not None:
-        table = _table_for(cfg, (args.square_angles + 1) ** 2)
+        table = _table_for(cache, (args.square_angles + 1) ** 2)
         series = square_angle_series(table, args.square_angles)
     elif args.same_arm is not None:
-        table = _table_for(cfg, (args.same_arm + 3) ** 2)
+        table = _table_for(cache, (args.same_arm + 3) ** 2)
         series = same_arm_angle_series(table, args.same_arm)
     elif args.winding_distances is not None:
         max_n = args.winding_distances
-        report = constants_report(_table_for(cfg, max_n), probes=range(1, max_n))
+        report = constants_report(_table_for(cache, max_n), probes=range(1, max_n))
         sys.stdout.writelines(report.winding_csv_blocks())
         return EXIT_OK
     else:
-        table = _table_for(cfg, max(400, 12 * args.crossings ** 2))
+        table = _table_for(cache, max(400, 12 * args.crossings ** 2))
         report = axis_crossings(table, args.crossings)
         doc = {"crossings": list(report.crossings), "poly": str(report.poly),
                "second_diffs": list(report.second_diffs),
@@ -187,37 +186,35 @@ def cmd_areas(args, cfg: Config) -> int:
                "notes": report.notes()}
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
-    _write_series(series, args, cfg)
+    _write_series(series, args)
     return EXIT_OK
 
 
-def cmd_fib(args, cfg: Config) -> int:
+def cmd_fib(args, cache: str | None) -> int:
     if args.angles:
         top = fibonacci_numbers(args.count + 1)[-1]
-        fib = fib_angle_series(_table_for(cfg, top), args.count)
-        _write_series(fib.alphas_deg, args, cfg,
-                     companions=(fib.step_ratios, fib.cumulative_ratios))
+        fib = fib_angle_series(_table_for(cache, top), args.count)
+        _write_series(fib.alphas_deg, args,
+                      companions=(fib.step_ratios, fib.cumulative_ratios))
     else:
-        _write_series(fib_area_ratio_series(args.count), args, cfg)
+        _write_series(fib_area_ratio_series(args.count), args)
     return EXIT_OK
 
 
-def cmd_primes(args, cfg: Config) -> int:
+def cmd_primes(args, cache: str | None) -> int:
     if args.scan_d is not None:
         rows = primes_mod.scan_prime_polys(args.scan_d,
                                            range(args.c_min, args.c_max + 1),
                                            args.t)
         sys.stdout.write(primes_mod.scan_csv(rows))
     else:
-        max_n = args.n or cfg.max_n
-        table = _table_for(cfg, max_n)
-        sys.stdout.write(primes_mod.arm_report_csv(primes_mod.prime_arm_report(table, max_n)))
+        table = _table_for(cache, args.n)
+        sys.stdout.write(primes_mod.arm_report_csv(primes_mod.prime_arm_report(table, args.n)))
     return EXIT_OK
 
 
-def cmd_render(args, cfg: Config) -> int:
-    max_n = args.n or cfg.max_n
-    table = _table_for(cfg, max_n)
+def cmd_render(args, cache: str | None) -> int:
+    table = _table_for(cache, args.n)
     style = DEFAULT_STYLE
     if args.style:
         with open(args.style, encoding="utf-8") as fh:
@@ -226,10 +223,10 @@ def cmd_render(args, cfg: Config) -> int:
     overlays = []
     if args.arms:
         for group in groups:
-            arms = arms_mod.enumerate_arms(table, group, max_n)
+            arms = arms_mod.enumerate_arms(table, group, args.n)
             overlays.extend(arms.member_tuples(range(len(arms))))
-    doc = render_svg(table, max_n, [(group, MARKER_COLOR) for group in groups], overlays,
-                     args.mirror or cfg.mirror, style)
+    doc = render_svg(table, args.n, [(group, MARKER_COLOR) for group in groups], overlays,
+                     args.mirror, style)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(doc)
     sys.stdout.write(f"wrote {args.out}\n")
@@ -248,7 +245,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        cfg = load_config(args.config)
+        cache = load_config(args.config)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -256,7 +253,7 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        code = _COMMANDS[args.command](args, cfg)
+        code = _COMMANDS[args.command](args, cache)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -1,39 +1,10 @@
-"""Runtime configuration: defaults, `spiral.conf` key=value file, environment."""
+"""Runtime configuration: the table cache path, from the environment or `spiral.conf`."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
 
 ENV_CACHE = "SQSPIRAL_CACHE"
 CONF_NAME = "spiral.conf"
-
-
-@dataclass(frozen=True)
-class Config:
-    cache_path: str | None = None
-    max_n: int = 1000
-    output: str = "csv"                  # csv | json
-    mirror: bool = False
-
-    def __post_init__(self):
-        if self.max_n <= 0:
-            raise ValueError("max_n must be positive")
-        if self.output not in ("csv", "json"):
-            raise ValueError(f"output must be csv or json, not {self.output!r}")
-
-
-def _flag(value: str) -> bool:
-    if value.lower() not in ("1", "0", "true", "false", "yes", "no"):
-        raise ValueError(f"mirror must be 1/0, true/false or yes/no, not {value!r}")
-    return value.lower() in ("1", "true", "yes")
-
-
-_PARSERS = {
-    "cache_path": str,
-    "max_n": int,
-    "output": str,
-    "mirror": _flag,
-}
 
 
 def parse_key_values(text: str, known, label: str):
@@ -51,25 +22,19 @@ def parse_key_values(text: str, known, label: str):
         yield lineno, key, value
 
 
-def parse_config(text: str, base: Config | None = None, name: str = CONF_NAME) -> Config:
-    """Parse key=value lines; an unknown key or a bad value names the file `name` and the line."""
-    cfg = base or Config()
-    for lineno, key, value in parse_key_values(text, _PARSERS, name):
-        try:
-            cfg = replace(cfg, **{key: _PARSERS[key](value)})
-        except ValueError as exc:
-            raise ValueError(f"{name} line {lineno}: {key}: {exc}") from None
-    return cfg
+def parse_config(text: str, name: str = CONF_NAME) -> str | None:
+    """The last `cache_path` of key=value lines, or None; any other key is a
+    ValueError naming the file `name` and the line."""
+    paths = [value for _, _, value in parse_key_values(text, ("cache_path",), name)]
+    return paths[-1] if paths else None
 
 
-def load_config(path: str | None = None, env=None) -> Config:
-    """Config from ./spiral.conf (if present) with SQSPIRAL_CACHE applied."""
+def load_config(path: str | None = None, env=None) -> str | None:
+    """The cache path: SQSPIRAL_CACHE, else the `cache_path` of ./spiral.conf
+    (or of `path`), else None.  The file is read, and checked, either way."""
     env = os.environ if env is None else env
-    cfg = Config()
-    conf = path or CONF_NAME
+    cache, conf = None, path or CONF_NAME
     if os.path.exists(conf):
         with open(conf, encoding="utf-8") as fh:
-            cfg = parse_config(fh.read(), cfg, conf)
-    if env.get(ENV_CACHE):
-        cfg = replace(cfg, cache_path=env[ENV_CACHE])
-    return cfg
+            cache = parse_config(fh.read(), conf)
+    return env.get(ENV_CACHE) or cache

@@ -102,21 +102,6 @@ def winding_averages(rows: WindingRows, fold_at: int | None = None) -> dict[int,
     return dict(zip(present.tolist(), (sums[present] / counts[present]).tolist()))
 
 
-def _add_block(sums: np.ndarray, counts: np.ndarray, rows: WindingRows):
-    """Per-winding running sums and counts with one more block of rows added.
-
-    Each bin's running sum enters np.bincount as that bin's first weight
-    (0.0 + carry == carry), so the sums are bit for bit those of one
-    bincount over all rows, however a winding straddles the blocks.
-    """
-    bins = np.arange(sums.size)
-    sums = np.bincount(np.concatenate((bins, rows.winding)),
-                       weights=np.concatenate((sums, rows.distance)))
-    total = np.bincount(rows.winding, minlength=counts.size)
-    total[:counts.size] += counts
-    return sums, total
-
-
 def _probe_blocks(probes):
     for i in range(0, len(probes), CSV_BLOCK):
         yield _probe_array(probes[i:i + CSV_BLOCK])
@@ -146,7 +131,11 @@ def constants_report(table: SpiralTable, probes) -> ConstantsReport:
     recomputes each block as it writes it."""
     if not isinstance(probes, range):
         probes = _probe_array(probes)
-    sums, counts = np.zeros(0), np.zeros(0, dtype=np.int64)
+    # np.add.at, like np.bincount, adds each winding's distances in row order
+    sums = np.zeros(2 + int(table.cum_angle[-1] // TAU))
+    counts = np.zeros(sums.size, dtype=np.int64)
     for n in _probe_blocks(probes):
-        sums, counts = _add_block(sums, counts, winding_distance_table(table, n))
+        rows = winding_distance_table(table, n)
+        np.add.at(sums, rows.winding, rows.distance)
+        np.add.at(counts, rows.winding, 1)
     return ConstantsReport(table, probes, sums / np.maximum(counts, 1))

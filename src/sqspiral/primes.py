@@ -90,13 +90,15 @@ def scan_prime_polys(second_differential: int, c_range, sample_count: int = 100
     """
     if sample_count < 50:
         raise ValueError("sample_count must be >= 50")
-    cs = np.sort(np.fromiter(c_range, dtype=np.int64))
-    cs = cs[np.diff(cs, prepend=cs[:1] - 1) != 0]  # np.unique would import numpy.ma
-    if not cs.size:
+    if not isinstance(c_range, range):
+        c_range = sorted(set(c_range))  # np.unique would import numpy.ma
+    if not c_range:
         raise ValueError(f"scan needs a non-empty c range, got {c_range!r}")
     d = second_differential
+    # sized from the range's ends: a range past the budget makes no values
     bitmap = sieve(max(d * sample_count * sample_count // 2 + d * sample_count
-                       + abs(int(cs[-1])) + abs(int(cs[0])) + 1, 2)).bitmap
+                       + abs(int(c_range[0])) + abs(int(c_range[-1])) + 1, 2)).bitmap
+    cs = np.sort(np.fromiter(c_range, dtype=np.int64))
     t = np.arange(1, sample_count + 1, dtype=np.int64)[:, None]
     step, cols = max(1, SCAN_BLOCK // sample_count), []
     for b2 in range(d % 2, 2 * d, 2):

@@ -152,21 +152,54 @@ def test_render_rejects_style_values_it_would_write_unescaped(tmp_path, capsys, 
 
 
 def test_config_file_and_env_cache(tmp_path, capsys, monkeypatch):
+    """The cache path comes from the environment, then spiral.conf; a key
+    that only repeats a flag, such as `output`, is a config error."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "spiral.conf").write_text("output = json\nmax_n = 120\n")
-    code, out, _ = run(capsys, "arms", "--group", "squares")
-    assert code == EXIT_OK and json.loads(out)["max_n"] == 120
+    monkeypatch.delenv("SQSPIRAL_CACHE", raising=False)
+    (tmp_path / "spiral.conf").write_text("output = json\n")
+    code, out, err = run(capsys, "arms", "--group", "squares")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "config error: spiral.conf line 1: unknown key 'output'\n"
     (tmp_path / "spiral.conf").write_text("wrong = key\n")
     code, _, err = run(capsys, "arms", "--group", "squares")
     assert code == EXIT_USAGE and "config error" in err
-    os.remove(tmp_path / "spiral.conf")
     cache = tmp_path / "c.bin"
-    run(capsys, "build", "--n", "500", "--cache", str(cache))
-    monkeypatch.setenv("SQSPIRAL_CACHE", str(cache))
+    (tmp_path / "spiral.conf").write_text(f"cache_path = {cache}\n")
+    code, out, _ = run(capsys, "build", "--n", "500")
+    assert code == EXIT_OK and f"cache={cache}" in out and cache.exists()
+    os.remove(tmp_path / "spiral.conf")
+    env_cache = tmp_path / "env.bin"
+    monkeypatch.setenv("SQSPIRAL_CACHE", str(env_cache))
+    code, out, _ = run(capsys, "build", "--n", "500")
+    assert code == EXIT_OK and f"cache={env_cache}" in out
+    assert env_cache.read_bytes() == cache.read_bytes()
     code, out, _ = run(capsys, "arms", "--group", "squares", "--n", "400",
                        "--format", "json")
     assert code == EXIT_OK
     assert any(a["members"][0] == 1 for a in json.loads(out)["arms"])
+
+
+def test_flags_default_with_a_cache_only_config(tmp_path, capsys, monkeypatch):
+    """With a spiral.conf that holds only cache_path, the parser's defaults
+    give n = 1000, CSV and an unmirrored drawing."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SQSPIRAL_CACHE", raising=False)
+    assert run(capsys, "build", "--n", "1000", "--cache", "c.bin")[0] == EXIT_OK
+    (tmp_path / "spiral.conf").write_text("cache_path = c.bin\n")
+    code, out, _ = run(capsys, "arms", "--group", "squares", "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["max_n"] == 1000
+    code, out, _ = run(capsys, "primes", "--report")
+    assert code == EXIT_OK and out == run(capsys, "primes", "--report", "--n", "1000")[1]
+    for argv in (["--out", "a.svg"], ["--n", "1000", "--out", "b.svg"],
+                 ["--mirror", "--out", "m.svg"]):
+        assert run(capsys, "render", *argv)[0] == EXIT_OK
+    svg = {name: (tmp_path / name).read_bytes() for name in ("a.svg", "b.svg", "m.svg")}
+    assert svg["a.svg"] == svg["b.svg"] != svg["m.svg"]
+    for argv in (["arms", "--group", "squares"], ["areas", "--bands", "5"],
+                 ["fib", "--areas"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK and out == run(capsys, *argv, "--format", "csv")[1]
+        assert not out.lstrip().startswith("{")
 
 
 @pytest.mark.parametrize("argv", [["--config", "."], []])
@@ -202,6 +235,10 @@ def test_config_path_that_cannot_be_read(tmp_path, capsys, monkeypatch, argv):
     ["areas", "--winding-distances", "10", "--figure", "w.svg"],
     ["areas", "--crossings", "3", "--figure", "c.svg"],
     ["areas", "--crossings", "3", "--format", "csv"],
+    # c ranges past the sieve budget, refused before their values are made
+    ["primes", "--scan-d", "3", "--t", "50", "--c-min", "-99999999999999999999", "--c-max", "0"],
+    ["primes", "--scan-d", "3", "--t", "50", "--c-min", "-1000000000000", "--c-max", "0"],
+    ["primes", "--scan-d", "3", "--t", "50", "--c-min", "-300000000", "--c-max", "0"],
 ])
 def test_non_positive_sizes_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
