@@ -39,8 +39,7 @@ def main(argv=None) -> int:
     for name in args.suites or verify.SUITES:
         loaded = set(sys.modules)
         t0 = time.perf_counter()
-        checks = (verify.run_suite("all") if name == "all"
-                  else getattr(verify, f"suite_{name}")())
+        checks = verify.run_suite(name)
         seconds = time.perf_counter() - t0
         imported = sorted(set(sys.modules) - loaded)
         peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -129,7 +128,7 @@ class Arms(Sequence):
     2b, 2c (D = 2a), start_t, the index of its direction in DIRECTIONS, and
     its spans [lo, hi) of the flat arrays `mem` and `drift`; each array's spans
     tile it.  Index i gives row i's `Arm`, built on the first read and kept; a
-    slice gives a list of them.  A table equals a list or tuple of equal arms."""
+    slice gives a list of them."""
 
     def __init__(self, cols: np.ndarray, mem: np.ndarray, drift: np.ndarray):
         self.cols, self.mem, self.drift, self._arms = cols, mem, drift, {}
@@ -146,10 +145,6 @@ class Arms(Sequence):
             self._arms[i] = Arm(self.mem[lo:hi].tolist(), QuadraticPoly(dd, b2, c2),
                                 start_t, self.drift[d_lo:d_hi].tolist(), DIRECTIONS[code])
         return self._arms[i]
-
-    def __eq__(self, other):
-        return (isinstance(other, (Arms, list, tuple)) and len(self) == len(other)
-                and all(map(operator.eq, self, other)))
 
     def member_tuples(self, rows) -> list[tuple]:
         """The members of the arms at `rows`, one tuple each, in that order."""
@@ -487,7 +482,3 @@ def report_csv_blocks(report: SystemReport):
 
 def report_json(report: SystemReport) -> str:
     return "".join(report_json_blocks(report))
-
-
-def report_csv(report: SystemReport) -> str:
-    return "".join(report_csv_blocks(report))

@@ -39,6 +39,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _Noted(argparse.Action):
+    """Stores a flag's value and adds the flag to `args.given`, so that a mode
+    can refuse the flags of another while the parser keeps their defaults."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given += (self.option_strings[0],)
+
+
 def positive_int(text: str) -> int:
     """argparse type for sizes: a zero or negative size is a usage error."""
     value = int(text)
@@ -93,10 +102,15 @@ def _build_parser() -> _Parser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--scan-d", type=positive_int, metavar="D")
     mode.add_argument("--report", action="store_true")
-    p.add_argument("--t", type=positive_int, default=100)
-    p.add_argument("--c-min", type=int, default=-10)
-    p.add_argument("--c-max", type=int, default=20)
-    p.add_argument("--n", type=positive_int, default=DEFAULT_N)
+    p.set_defaults(given=())
+    p.add_argument("--t", type=positive_int, default=100, action=_Noted,
+                   help="--scan-d: samples t = 1..T (default %(default)s)")
+    p.add_argument("--c-min", type=int, default=-10, action=_Noted,
+                   help="--scan-d: least c (default %(default)s)")
+    p.add_argument("--c-max", type=int, default=20, action=_Noted,
+                   help="--scan-d: greatest c (default %(default)s)")
+    p.add_argument("--n", type=positive_int, default=DEFAULT_N, action=_Noted,
+                   help="--report: arms of the primes up to N (default %(default)s)")
 
     p = sub.add_parser("render", help="deterministic SVG of the spiral")
     p.add_argument("--n", type=positive_int, default=DEFAULT_N)
@@ -202,6 +216,11 @@ def cmd_fib(args, cache: str | None) -> int:
 
 
 def cmd_primes(args, cache: str | None) -> int:
+    mode, other = (("--scan-d", ("--n",)) if args.scan_d is not None
+                   else ("--report", ("--t", "--c-min", "--c-max")))
+    refused = [flag for flag in other if flag in args.given]
+    if refused:
+        raise ValueError(f"{mode} takes no {', '.join(refused)}")
     if args.scan_d is not None:
         rows = primes_mod.scan_prime_polys(args.scan_d,
                                            range(args.c_min, args.c_max + 1),
@@ -214,6 +233,8 @@ def cmd_primes(args, cache: str | None) -> int:
 
 
 def cmd_render(args, cache: str | None) -> int:
+    if args.arms and not args.group:
+        raise ValueError("--arms overlays the arms of each --group: no --group given")
     table = _table_for(cache, args.n)
     style = DEFAULT_STYLE
     if args.style:
@@ -233,8 +254,8 @@ def cmd_render(args, cache: str | None) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {name: globals()[f"cmd_{name}"]
-             for name in ("build", "verify", "arms", "areas", "fib", "primes", "render")}
+_COMMANDS = {"build": cmd_build, "verify": cmd_verify, "arms": cmd_arms, "areas": cmd_areas,
+             "fib": cmd_fib, "primes": cmd_primes, "render": cmd_render}
 
 
 def main(argv=None) -> int:

@@ -78,7 +78,7 @@ class PolyDensityRow:
         return self.prime_count / self.sample_count
 
 
-def scan_prime_polys(second_differential: int, c_range, sample_count: int = 100
+def scan_prime_polys(second_differential: int, c_range, sample_count: int
                      ) -> list[PolyDensityRow]:
     """Rank canonical quadratics with the given second differential by prime
     density over t = 1..sample_count.

@@ -28,9 +28,6 @@ from .series import (DEG, GOLDEN, axis_crossings, fib_angle_series_streaming,
                      square_band_ratio_series)
 from . import primes as pr
 
-SUITES = ("constants", "table1", "fig7", "fig15", "table2", "table3",
-          "rule52", "fib", "fig16", "primes")
-
 #: Deep-ratio index for the Fibonacci constants (F_42 ~ 4.3e8, past any table).
 FIB_DEEP_K = 40
 #: Enumeration bound for arm discovery suites.
@@ -431,7 +428,11 @@ def suite_primes() -> list[Check]:
 
 
 # --------------------------------------------------------------------------
-_SUITE_FUNCS = {name: globals()[f"suite_{name}"] for name in SUITES}
+_SUITE_FUNCS = {"constants": suite_constants, "table1": suite_table1, "fig7": suite_fig7,
+                "fig15": suite_fig15, "table2": suite_table2, "table3": suite_table3,
+                "rule52": suite_rule52, "fib": suite_fib, "fig16": suite_fig16,
+                "primes": suite_primes}
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def run_suite(name: str) -> list[Check]:

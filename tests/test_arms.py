@@ -14,7 +14,7 @@ from sqspiral.arms import (DIRECTIONS, MIN_ARM_LEN, SEED_BLOCK, WINDOW_HI, WINDO
                            arm_columns, traced_arms,
                            b_hat_lattice_ok, canonical_keys, direction_codes,
                            enumerate_arms, find_arms, in_window, members,
-                           parse_group, trace_arm, verify_rule_5_2, report_csv,
+                           parse_group, trace_arm, verify_rule_5_2, report_csv_blocks,
                            report_json, window_seeds)
 from sqspiral.primes import PRIME_DENSITY
 from sqspiral.ratpoly import QuadraticPoly, newton_quadratic
@@ -314,7 +314,7 @@ def test_enumerate_finds_published_arms():
 
 
 def test_enumerate_empty_group(table2000):
-    assert enumerate_arms(table2000, parse_group("list:601"), 600) == []
+    assert list(enumerate_arms(table2000, parse_group("list:601"), 600)) == []
 
 
 def test_enumerate_deterministic_order(table2000):
@@ -418,7 +418,7 @@ def test_report_serialization():
     assert n22["count"] == 2 and n22["b_hats"] == ["0", "11"]
     assert doc["rule_5_2"]["N"]["22"] is True
     assert doc["mixed_d"] == {"N": True, "P": True}  # other families reported too
-    csv = report_csv(report)
+    csv = "".join(report_csv_blocks(report))
     assert csv.splitlines()[0] == "direction,D,a,b_hat,c,start_t,len,members"
     assert any("22 77 154 253" in line for line in csv.splitlines())
 

@@ -239,6 +239,11 @@ def test_config_path_that_cannot_be_read(tmp_path, capsys, monkeypatch, argv):
     ["primes", "--scan-d", "3", "--t", "50", "--c-min", "-99999999999999999999", "--c-max", "0"],
     ["primes", "--scan-d", "3", "--t", "50", "--c-min", "-1000000000000", "--c-max", "0"],
     ["primes", "--scan-d", "3", "--t", "50", "--c-min", "-300000000", "--c-max", "0"],
+    # flags of the other primes mode, and overlays with no group to trace
+    ["primes", "--report", "--n", "50", "--t", "10", "--c-min", "5"],
+    ["primes", "--scan-d", "18", "--n", "5", "--c-min", "0", "--c-max", "0", "--t", "50"],
+    ["render", "--out", "x.svg", "--arms"],
+    ["primes", "--scan-d", "18", "--n", "1000"],  # refused at its default value too
 ])
 def test_non_positive_sizes_are_usage_errors(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)

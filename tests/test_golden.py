@@ -17,11 +17,11 @@ import hashlib
 import pytest
 
 from sqspiral import arms
-from sqspiral.arms import report_csv, report_json
+from sqspiral.arms import report_csv_blocks, report_json
 from sqspiral.cli import EXIT_OK, main
 from sqspiral.verify import _cached_arm_reports
 
-# group -> (report_json digest, report_csv digest), verify's cached reports
+# group -> (report_json digest, joined report_csv_blocks digest), verify's cached reports
 ARM_REPORTS = {
     "div:2": ("10f35f3b062d81858bd01d45f7b1da6669a4590832609e994c4bcebc5cf5645e",
               "b398c029be62d260a0d101f2423a62342854a7254f629a115b9578052d62b017"),
@@ -108,7 +108,7 @@ def fresh_cwd(tmp_path, monkeypatch):
 @pytest.mark.parametrize("spec", list(ARM_REPORTS))
 def test_arm_report_digests(spec):
     report = _cached_arm_reports()[spec]
-    assert (_sha(report_json(report)), _sha(report_csv(report))) == ARM_REPORTS[spec]
+    assert (_sha(report_json(report)), _sha("".join(report_csv_blocks(report)))) == ARM_REPORTS[spec]
 
 
 def test_arm_report_digests_in_small_seed_blocks(monkeypatch):
@@ -116,7 +116,7 @@ def test_arm_report_digests_in_small_seed_blocks(monkeypatch):
     and a polynomial's seeds cross block edges, the nine reports keep their bytes."""
     monkeypatch.setattr(arms, "SEED_BLOCK", 300)
     reports = _cached_arm_reports.__wrapped__()
-    assert {spec: (_sha(report_json(report)), _sha(report_csv(report)))
+    assert {spec: (_sha(report_json(report)), _sha("".join(report_csv_blocks(report))))
             for spec, report in reports.items()} == ARM_REPORTS
 
 

@@ -4,9 +4,10 @@ package module imports a name it does not use, and only `ratpoly` imports
 
 Checked statically over the package and the scripts: `from <sqspiral module>
 import _x` and `<sqspiral module>._x` both fail.  Dunder names are public.
-The package's `__init__.py` imports to re-export, so it is exempt from the
-unused-import check, but each name it re-exports must be read somewhere
-else: in the package outside its own definition, in `scripts/` or in `bench/`.
+The package's `__init__.py` binds only `__version__`: each name is imported
+from its module.  Each public top-level name of a package module must be read
+somewhere else: in the package outside its own definition, in `scripts/` or
+in `bench/`.
 A fresh process running `verify all` imports no `numpy.ma` and keeps no
 shared table past 10^5 entries.  Every script loads under a name other than
 `__main__`, which runs its imports and not its `main()`.
@@ -148,7 +149,7 @@ def test_checker_finds_imported_modules():
                             ) == {"fractions", "os"}
 
 
-# Re-exported, yet read only by the tests, on purpose:
+# Public, yet read only by the tests, on purpose:
 KEPT_UNREFERENCED = {
     "segment_angle",       # the oracle test_table.py checks build_table's increments against
     "limit_spiral_angle",  # the arm drift law of ROADMAP item 6 builds on it
@@ -175,21 +176,47 @@ def referenced_names(source: str) -> set[str]:
     return names
 
 
-def unreferenced_exports(root: pathlib.Path = ROOT) -> list[str]:
-    """Names the package's `__init__.py` re-exports that no package module
+def defined_names(source: str) -> list[str]:
+    """Public names the module's top level binds: defs, classes and assigned
+    constants."""
+    names = []
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(top.name)
+        elif isinstance(top, ast.Assign):
+            names += [node.id for target in top.targets for node in ast.walk(target)
+                      if isinstance(node, ast.Name)]
+        elif isinstance(top, ast.AnnAssign) and isinstance(top.target, ast.Name):
+            names.append(top.target.id)
+    return [name for name in names if not _private(name)]
+
+
+def unreferenced_names(root: pathlib.Path = ROOT) -> list[str]:
+    """Public top-level names of the package's modules that no package module
     (outside the name's own definition), script or bench file reads."""
-    package = root / "src" / "sqspiral"
-    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
-    exported = [alias.asname or alias.name for node in init.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
-    paths += list((root / "scripts").glob("*.py")) + list((root / "bench").glob("*.py"))
+    package = sorted((root / "src" / "sqspiral").glob("*.py"))
+    paths = package + list((root / "scripts").glob("*.py")) + list((root / "bench").glob("*.py"))
     read = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in paths))
-    return sorted(name for name in exported if name not in read)
+    return sorted(name for p in package for name in defined_names(p.read_text(encoding="utf-8"))
+                  if name not in read)
 
 
 def test_every_export_is_read_outside_the_tests():
-    assert unreferenced_exports() == sorted(KEPT_UNREFERENCED)
+    assert unreferenced_names() == sorted(KEPT_UNREFERENCED)
+
+
+def test_package_root_binds_only_the_version():
+    init = (ROOT / "src" / "sqspiral" / "__init__.py").read_text(encoding="utf-8")
+    docstring, *rest = ast.parse(init).body
+    assert isinstance(docstring, ast.Expr) and len(rest) == 1
+    assert defined_names(init) == ["__version__"]
+
+
+def test_checker_finds_defined_names():
+    assert defined_names("import os\nfrom .table import TAU\nA, _B = 1, 2\nC = D = 3\n"
+                         "E: int = 4\n__version__ = '1'\n_f = 5\n"
+                         "def g(): pass\nclass H: pass\nif A: I = 6\n") == [
+        "A", "C", "D", "E", "__version__", "g", "H"]
 
 
 def test_checker_skips_a_names_own_definition():
